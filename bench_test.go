@@ -331,13 +331,12 @@ func BenchmarkSweepCache_Warm(b *testing.B) {
 	}
 }
 
-// benchLockstepJobs is the seed-ensemble workload the lockstep
-// benchmarks run: K noise realisations of one linear design point under
+// benchEnsembleJobs is the seed-ensemble workload BenchmarkEnsembleSeeds
+// runs: K noise realisations of one linear design point under
 // dense-spectrum wideband excitation (4096 tones — the stochastic
-// wideband regime from PR 4, where evaluating the excitation dominates
-// the step cost and the lockstep engine's shared evaluation pays most;
-// DESIGN.md derives the (3A+S)/(A+L) speedup ceiling this approaches).
-func benchLockstepJobs(k int, duration float64) []batch.Job {
+// wideband regime, where evaluating the excitation dominates the step
+// cost and the Vibration.Accel memo pays most).
+func benchEnsembleJobs(k int, duration float64) []batch.Job {
 	jobs := make([]batch.Job, k)
 	for i, seed := range batch.Seeds(42, k) {
 		sc := harvester.NoiseScenario(duration, 55, 85, seed)
@@ -348,28 +347,10 @@ func benchLockstepJobs(k int, duration float64) []batch.Job {
 	return jobs
 }
 
-// BenchmarkEnsembleLockstep_Solo is the A side of the lockstep A/B: the
-// K=16 seed ensemble dispatched as independent single-member runs
-// (Options.NoLockstep), the pre-PR-6 behaviour.
-func BenchmarkEnsembleLockstep_Solo(b *testing.B) {
-	jobs := benchLockstepJobs(16, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := batch.RunSerial(jobs, batch.Options{NoLockstep: true})
-		for _, r := range results {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkEnsembleLockstep_Lockstep is the B side: the same 16 seeds
-// marched as one lockstep unit (shared excitation evaluation, shared
-// factorisation and stability analysis via content-keyed stores).
-// Output is bit-identical to _Solo — the determinism suite pins it.
-func BenchmarkEnsembleLockstep_Lockstep(b *testing.B) {
-	jobs := benchLockstepJobs(16, 0.5)
+// BenchmarkEnsembleSeeds runs the K=16 seed ensemble through the
+// default serial batch dispatch.
+func BenchmarkEnsembleSeeds(b *testing.B) {
+	jobs := benchEnsembleJobs(16, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results := batch.RunSerial(jobs, batch.Options{})

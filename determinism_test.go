@@ -123,28 +123,28 @@ func TestNoiseSeedsDistinctThroughBatch(t *testing.T) {
 	}
 }
 
-// lockstepEnsembleJobs builds one design point's seed ensemble — K jobs
+// seedEnsembleJobs builds one design point's seed ensemble — K jobs
 // sharing a Group, differing only in realisation seed — for the chosen
 // engine kind and Duffing coefficient.
-func lockstepEnsembleJobs(k int, kind EngineKind, k3, duration float64) []BatchJob {
+func seedEnsembleJobs(k int, kind EngineKind, k3, duration float64) []BatchJob {
 	jobs := make([]BatchJob, k)
 	for i, seed := range Seeds(11, k) {
 		sc := NoiseScenario(duration, 55, 85, seed)
 		sc.Cfg.Microgen.K3 = k3
 		jobs[i] = BatchJob{
-			Name: "lockstep", Group: "pt", Seed: seed,
+			Name: "ensemble", Group: "pt", Seed: seed,
 			Scenario: sc, Engine: kind, Decimate: 1,
 		}
 	}
 	return jobs
 }
 
-// TestLockstepBitIdenticalAcrossEngines: a lockstep K-seed run is
-// bit-identical to the K solo runs it replaces, for every engine kind
-// and for both the linear device and the Duffing nonlinearity (whose
-// per-member retangenting makes the members' Jacobians diverge, forcing
-// the shared store onto its per-member fallback).
-func TestLockstepBitIdenticalAcrossEngines(t *testing.T) {
+// TestSeedEnsembleSerialPooledAcrossEngines: a K-seed ensemble run
+// across the worker pool is bit-identical to the serial reference, for
+// every engine kind and for both the linear device and the Duffing
+// nonlinearity (whose per-seed retangenting makes the members'
+// Jacobians diverge).
+func TestSeedEnsembleSerialPooledAcrossEngines(t *testing.T) {
 	kinds := []EngineKind{Proposed, ExistingTrap, ExistingBDF2, ExistingBE}
 	for _, kind := range kinds {
 		for _, k3 := range []float64{0, 1e9} {
@@ -156,11 +156,11 @@ func TestLockstepBitIdenticalAcrossEngines(t *testing.T) {
 			if kind != Proposed {
 				dur = 0.1 // the implicit baselines are ~50x slower
 			}
-			jobs := lockstepEnsembleJobs(3, kind, k3, dur)
-			solo := RunBatchSerial(jobs, BatchOptions{NoLockstep: true})
-			lock := RunBatchSerial(jobs, BatchOptions{})
+			jobs := seedEnsembleJobs(3, kind, k3, dur)
+			serial := RunBatchSerial(jobs, BatchOptions{})
+			pooled := RunBatch(context.Background(), jobs, BatchOptions{Workers: 3})
 			for i := range jobs {
-				sameResult(t, label, solo[i], lock[i])
+				sameResult(t, label, serial[i], pooled[i])
 			}
 		}
 	}
@@ -174,19 +174,19 @@ func bistableEnsembleJobs(k int, kind EngineKind, duration float64) []BatchJob {
 	for i, seed := range Seeds(13, k) {
 		sc := BistableScenario(duration, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, seed)
 		jobs[i] = BatchJob{
-			Name: "bistable-lockstep", Group: "bi", Seed: seed,
+			Name: "bistable-ensemble", Group: "bi", Seed: seed,
 			Scenario: sc, Engine: kind, Decimate: 1,
 		}
 	}
 	return jobs
 }
 
-// TestBistableLockstepBitIdenticalAcrossEngines: a lockstep K-seed run
-// of the double-well workload is bit-identical to the K solo runs it
-// replaces, for every engine kind — including the EngineStats counters
+// TestBistableSeedEnsembleSerialPooledAcrossEngines: a pooled K-seed
+// run of the double-well workload is bit-identical to the serial
+// reference, for every engine kind — including the EngineStats counters
 // (the march must be the same march, not just land on the same answer)
 // and the basin accounting the ensemble reductions consume.
-func TestBistableLockstepBitIdenticalAcrossEngines(t *testing.T) {
+func TestBistableSeedEnsembleSerialPooledAcrossEngines(t *testing.T) {
 	kinds := []EngineKind{Proposed, ExistingTrap, ExistingBDF2, ExistingBE}
 	for _, kind := range kinds {
 		dur := 0.5
@@ -194,13 +194,13 @@ func TestBistableLockstepBitIdenticalAcrossEngines(t *testing.T) {
 			dur = 0.15 // the implicit baselines are much slower
 		}
 		jobs := bistableEnsembleJobs(3, kind, dur)
-		solo := RunBatchSerial(jobs, BatchOptions{NoLockstep: true})
-		lock := RunBatchSerial(jobs, BatchOptions{})
+		serial := RunBatchSerial(jobs, BatchOptions{})
+		pooled := RunBatch(context.Background(), jobs, BatchOptions{Workers: 3})
 		for i := range jobs {
-			sameResult(t, kind.String(), solo[i], lock[i])
-			a, b := solo[i], lock[i]
+			sameResult(t, kind.String(), serial[i], pooled[i])
+			a, b := serial[i], pooled[i]
 			if a.Stats != b.Stats {
-				t.Errorf("%v[%d]: EngineStats differ:\nsolo %+v\nlock %+v", kind, i, a.Stats, b.Stats)
+				t.Errorf("%v[%d]: EngineStats differ:\nserial %+v\npooled %+v", kind, i, a.Stats, b.Stats)
 			}
 			if a.Transits != b.Transits || a.SettledTransits != b.SettledTransits ||
 				a.FinalBasin != b.FinalBasin {
@@ -212,20 +212,26 @@ func TestBistableLockstepBitIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
+// dispatchVariants runs the jobs through every pooled execution mode
+// the serial reference must match: two pool sizes (which change the
+// job-to-worker assignment) and the pool without workspace reuse.
+func dispatchVariants(jobs []BatchJob) map[string][]BatchResult {
+	ctx := context.Background()
+	return map[string][]BatchResult{
+		"pooled-2":        RunBatch(ctx, jobs, BatchOptions{Workers: 2}),
+		"pooled-4":        RunBatch(ctx, jobs, BatchOptions{Workers: 4}),
+		"pooled-no-reuse": RunBatch(ctx, jobs, BatchOptions{Workers: 4, NoWorkspaceReuse: true}),
+	}
+}
+
 // TestEnsembleReductionInvariantAcrossDispatch: the Ensembles reduction
-// of a seed sweep is invariant across serial singleton, pooled
-// singleton, serial lockstep and pooled lockstep execution — the
+// of a seed sweep is invariant across serial and pooled execution — the
 // statistics are computed in job order over bit-identical member
 // results, so the dispatch strategy cannot show through.
 func TestEnsembleReductionInvariantAcrossDispatch(t *testing.T) {
-	jobs := lockstepEnsembleJobs(4, Proposed, 1e9, 0.4)
-	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{NoLockstep: true}))
-	runs := map[string][]BatchResult{
-		"pooled-solo":     RunBatch(context.Background(), jobs, BatchOptions{Workers: 4, NoLockstep: true}),
-		"serial-lockstep": RunBatchSerial(jobs, BatchOptions{}),
-		"pooled-lockstep": RunBatch(context.Background(), jobs, BatchOptions{Workers: 4}),
-	}
-	for label, results := range runs {
+	jobs := seedEnsembleJobs(4, Proposed, 1e9, 0.4)
+	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{}))
+	for label, results := range dispatchVariants(jobs) {
 		points := Ensembles(results)
 		if len(points) != len(ref) {
 			t.Fatalf("%s: %d points, want %d", label, len(points), len(ref))
@@ -243,27 +249,20 @@ func TestEnsembleReductionInvariantAcrossDispatch(t *testing.T) {
 
 // TestBistableBasinReductionInvariantAcrossDispatch: the basin-aware
 // ensemble reductions — high-orbit fraction, mean transit count and the
-// per-basin statistics — are invariant across serial singleton, pooled
-// singleton, serial lockstep and pooled lockstep execution, exactly
-// like the Student-t statistics they ride alongside. This requires the
-// basin observer's settle boundary to be part of the job identity (set
-// identically by the fresh and lockstep dispatch paths), not an
-// artifact of how the run was scheduled.
+// per-basin statistics — are invariant across serial and pooled
+// execution, exactly like the Student-t statistics they ride alongside.
+// This requires the basin observer's settle boundary to be part of the
+// job identity, not an artifact of how the run was scheduled.
 func TestBistableBasinReductionInvariantAcrossDispatch(t *testing.T) {
 	jobs := bistableEnsembleJobs(4, Proposed, 0.8)
-	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{NoLockstep: true}))
+	ref := Ensembles(RunBatchSerial(jobs, BatchOptions{}))
 	if len(ref) != 1 {
 		t.Fatalf("want 1 ensemble point, got %d", len(ref))
 	}
 	if len(ref[0].Basins) == 0 {
 		t.Fatal("reference reduction carries no basin statistics — workload not bistable?")
 	}
-	runs := map[string][]BatchResult{
-		"pooled-solo":     RunBatch(context.Background(), jobs, BatchOptions{Workers: 4, NoLockstep: true}),
-		"serial-lockstep": RunBatchSerial(jobs, BatchOptions{}),
-		"pooled-lockstep": RunBatch(context.Background(), jobs, BatchOptions{Workers: 4}),
-	}
-	for label, results := range runs {
+	for label, results := range dispatchVariants(jobs) {
 		points := Ensembles(results)
 		if len(points) != 1 {
 			t.Fatalf("%s: %d points, want 1", label, len(points))

@@ -41,13 +41,13 @@ type Vibration struct {
 	noise NoiseSpec   // zero value = no stochastic component
 	tones []noiseTone // realisation of noise, derived from the spec
 
-	// Single-entry Accel memo (EnableAccelMemo): the engines evaluate
-	// Accel up to three times per step at the same t (two linearise
-	// passes and the observer), and in a lockstep ensemble that
-	// redundant trigonometry dominates the shared-work savings.
-	memoOn bool
-	memoT  float64 // NaN = empty/invalidated
-	memoA  float64
+	// Single-entry Accel memo keyed on the bits of (t, Amplitude): the
+	// engines evaluate Accel up to three times per step at the same t
+	// (two linearise passes and the observer), and under wideband noise
+	// that repeated tone sum is the dominant per-step cost. Every
+	// profile or noise mutation clears memoOK.
+	memoOK                bool
+	memoT, memoAmp, memoA float64
 }
 
 // NoiseSpec declares a band-limited stochastic excitation: stationary
@@ -152,7 +152,7 @@ func (v *Vibration) addSeg(t, f, rate float64) {
 	}
 	phase := last.phaseAt(t)
 	seg := vibSeg{t0: t, freq: f, rate: rate, phase0: phase}
-	v.memoT = math.NaN()
+	v.memoOK = false
 	if t == last.t0 {
 		v.segs[len(v.segs)-1] = seg
 		return
@@ -172,7 +172,7 @@ func (v *Vibration) Reset(f0 float64) {
 	v.segs[0] = vibSeg{t0: 0, freq: f0}
 	v.noise = NoiseSpec{}
 	v.tones = v.tones[:0]
-	v.memoT = math.NaN()
+	v.memoOK = false
 }
 
 // ConfigureNoise adds (or replaces) the band-limited stochastic
@@ -183,7 +183,7 @@ func (v *Vibration) Reset(f0 float64) {
 // graceful rejection check Validate first.
 func (v *Vibration) ConfigureNoise(spec NoiseSpec) {
 	v.tones = v.tones[:0]
-	v.memoT = math.NaN()
+	v.memoOK = false
 	v.noise = spec
 	if !spec.Enabled() {
 		v.noise = NoiseSpec{}
@@ -253,8 +253,16 @@ func (v *Vibration) Phase(t float64) float64 { return v.seg(t).phaseAt(t) }
 // component plus the stochastic component when one is configured. The
 // evaluation is allocation-free — it sits on the engines' per-step hot
 // path (linearisation refresh, observer, frequency meter).
+//
+// Accel is a pure function of (t, Amplitude, profile, noise), so the
+// source memoises its last evaluation: a repeat call with bit-identical
+// t and Amplitude returns the bits a recomputation would, and every
+// profile or noise mutation (SetFrequency, Sweep, Reset,
+// ConfigureNoise) invalidates the memo. Because of the memo a source is
+// not safe for concurrent use; each harvester owns its own.
 func (v *Vibration) Accel(t float64) float64 {
-	if v.memoOn && t == v.memoT {
+	if v.memoOK && math.Float64bits(t) == math.Float64bits(v.memoT) &&
+		math.Float64bits(v.Amplitude) == math.Float64bits(v.memoAmp) {
 		return v.memoA
 	}
 	a := v.Amplitude * math.Sin(v.Phase(t))
@@ -262,20 +270,6 @@ func (v *Vibration) Accel(t float64) float64 {
 		tn := &v.tones[i]
 		a += tn.amp * math.Sin(tn.w*t+tn.phi)
 	}
-	if v.memoOn {
-		v.memoT, v.memoA = t, a
-	}
+	v.memoOK, v.memoT, v.memoAmp, v.memoA = true, t, v.Amplitude, a
 	return a
-}
-
-// EnableAccelMemo turns on a single-entry memo of the last Accel
-// evaluation. Accel is a pure function of (t, profile, noise), so the
-// memo returns the identical bits a recomputation would; every profile
-// or noise mutation (SetFrequency, Sweep, Reset, ConfigureNoise)
-// invalidates it. Callers that mutate Amplitude directly mid-run must
-// not enable the memo. The lockstep ensemble path enables it because
-// the engines evaluate Accel several times per step at one t.
-func (v *Vibration) EnableAccelMemo() {
-	v.memoOn = true
-	v.memoT = math.NaN()
 }

@@ -10,8 +10,9 @@ import (
 // (re)configuration, resets, amplitude changes — and asserts the
 // contract that the engines rely on: Accel/Freq/Phase stay finite and
 // bounded for any in-contract schedule, the accumulated phase never
-// runs backwards while the frequency is positive, and no operation
-// panics. The decoder maps raw bytes into the contract domain (times
+// runs backwards while the frequency is positive, no operation panics,
+// and the Accel memo is exact: around every mutation, repeated Accel
+// calls at one t return the bits of a memo-free evaluation. The decoder maps raw bytes into the contract domain (times
 // non-decreasing, bands ordered, finite values); out-of-contract calls
 // are a documented panic and are not generated here.
 func FuzzVibrationSchedule(f *testing.F) {
@@ -19,15 +20,34 @@ func FuzzVibrationSchedule(f *testing.F) {
 	f.Add([]byte("0123456789abcdefghij"))
 	f.Add([]byte{0, 10, 0, 200, 0, 1, 50, 0, 100, 0, 2, 255, 255, 128, 7, 3, 9, 0, 0, 0})
 	f.Add([]byte{2, 0, 1, 0, 1, 2, 1, 1, 1, 1, 4, 200, 0, 0, 0})
+	// One mutation each, probed past its effective time: a replaced
+	// segment, a chirp, new noise, a reset and an amplitude write.
+	f.Add([]byte{0, 0, 0, 200, 0, 1, 10, 0, 128, 0, 2, 90, 0, 60, 0, 3, 50, 0, 200, 0, 4, 100, 0, 128, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := NewVibration(0.59, 70)
 		tCur := 0.0
 		maxRMS := 0.0
 		// frac maps a 16-bit operand into [0, 1].
 		frac := func(hi, lo byte) float64 { return float64(uint16(hi)<<8|uint16(lo)) / 65535 }
+		// memoExact evaluates Accel(tm) twice through the memo (the first
+		// call may hit an entry left from before a mutation), then clears
+		// the memo and requires the recomputation to match bit for bit.
+		memoExact := func(tm float64) {
+			t.Helper()
+			a1, a2 := v.Accel(tm), v.Accel(tm)
+			v.memoOK = false
+			want := v.Accel(tm)
+			if math.Float64bits(a1) != math.Float64bits(want) || math.Float64bits(a2) != math.Float64bits(want) {
+				t.Fatalf("memoised Accel(%g) = %g, %g; recomputed %g", tm, a1, a2, want)
+			}
+		}
 		for len(data) >= 5 {
 			op, a, b := data[0]%5, frac(data[1], data[2]), frac(data[3], data[4])
 			data = data[5:]
+			// The probe may land past the mutation's effective time
+			// (changes are scheduled within 2 s of tCur, or restart at 0).
+			probe := (tCur + 2) * b
+			memoExact(probe)
 			switch op {
 			case 0:
 				tCur += a * 2
@@ -60,6 +80,7 @@ func FuzzVibrationSchedule(f *testing.F) {
 			case 4:
 				v.Amplitude = a * 2
 			}
+			memoExact(probe)
 		}
 		// |a(t)| is bounded by the sinusoid peak plus the coherent worst
 		// case of the noise tones (RMS * sqrt(2*Tones), Tones <= 96).
@@ -67,6 +88,7 @@ func FuzzVibrationSchedule(f *testing.F) {
 		lastPhase := math.Inf(-1)
 		for i := 0; i <= 400; i++ {
 			tm := tCur * float64(i) / 400
+			memoExact(tm)
 			acc, fr, ph := v.Accel(tm), v.Freq(tm), v.Phase(tm)
 			if math.IsNaN(acc) || math.IsInf(acc, 0) || math.Abs(acc) > bound {
 				t.Fatalf("Accel(%g) = %g out of bound %g", tm, acc, bound)

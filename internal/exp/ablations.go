@@ -88,14 +88,14 @@ func AblationABOrder(duration float64) (AblationResult, error) {
 		rec := trace.NewSeries("vc")
 		idx := h.Sys.MustTerminal("Vc")
 		eng.Observe(func(t float64, x, y []float64) { rec.Append(t, y[idx]) })
-		start := time.Now()
-		if err := eng.Run(0, sc.Duration); err != nil {
+		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
+		if err != nil {
 			return res, err
 		}
 		cmp := trace.Compare(rec, ref, 400)
 		res.Rows = append(res.Rows, AblationRow{
 			Setting: fmt.Sprintf("AB order %d", order),
-			CPUTime: time.Since(start),
+			CPUTime: elapsed,
 			Steps:   eng.Stats.Steps,
 			Err:     cmp.RMSE,
 		})
@@ -127,14 +127,14 @@ func AblationPWL(duration float64) (AblationResult, error) {
 		rec := trace.NewSeries("vc")
 		idx := h.Sys.MustTerminal("Vc")
 		eng.Observe(func(t float64, x, y []float64) { rec.Append(t, y[idx]) })
-		start := time.Now()
-		if err := eng.Run(0, sc.Duration); err != nil {
+		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
+		if err != nil {
 			return res, err
 		}
 		cmp := trace.Compare(rec, ref, 400)
 		res.Rows = append(res.Rows, AblationRow{
 			Setting: fmt.Sprintf("%d segments", segs),
-			CPUTime: time.Since(start),
+			CPUTime: elapsed,
 			Steps:   eng.Stats.Steps,
 			Err:     cmp.RMSE,
 		})
@@ -171,11 +171,10 @@ func AblationStability(duration float64) (AblationResult, error) {
 		eng.Ctl.Rtol = 1e9
 		eng.Ctl.Atol = 1e9
 		eng.LLETol = 1e18
-		start := time.Now()
-		err := eng.Run(0, sc.Duration)
+		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
 		row := AblationRow{
 			Setting: fmt.Sprintf("%.2gx stability cap", factor),
-			CPUTime: time.Since(start),
+			CPUTime: elapsed,
 			Steps:   eng.Stats.Steps,
 		}
 		if err != nil {

@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -49,6 +50,16 @@ func (r EngineRun) ExtrapolateTo(simTime float64) time.Duration {
 	return time.Duration(float64(r.CPUTime) * simTime / r.SimTime)
 }
 
+// timed runs fn and returns the process CPU time it consumed. A
+// collection first settles earlier garbage, so one engine's allocations
+// are not collected on the next engine's clock.
+func timed(fn func() error) (time.Duration, error) {
+	runtime.GC()
+	start := processCPU()
+	err := fn()
+	return processCPU() - start, err
+}
+
 // runTimed executes a scenario under one engine and captures timing plus
 // the unified per-run counters (steps, refactorisations, solves, and —
 // for the proposed engine, which runs serially here — heap allocations).
@@ -61,9 +72,7 @@ func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, de
 	if ce, ok := eng.(*core.Engine); ok {
 		ce.MeasureAllocs = true
 	}
-	start := time.Now()
-	err := h.RunEngine(eng, sc.Duration)
-	elapsed := time.Since(start)
+	elapsed, err := timed(func() error { return h.RunEngine(eng, sc.Duration) })
 	if err != nil {
 		return EngineRun{}, nil, fmt.Errorf("exp: %s failed: %w", label, err)
 	}

@@ -44,7 +44,7 @@ func TestTable2ShapeHolds(t *testing.T) {
 		t.Fatalf("want 2 scenarios, got %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		// The speedup is a wall-clock ratio: meaningless under the race
+		// The speedup is a CPU-time ratio: meaningless under the race
 		// detector, whose instrumentation reshapes the per-step cost
 		// profile of the two engine families differently (observed ~1.6x
 		// under -race vs ~4x without on the same machine).

@@ -157,12 +157,12 @@ func TestBasinSettleDefault(t *testing.T) {
 	}
 }
 
-// TestBistableRunEnsembleMatchesSolo: a bistable seed ensemble marched
-// through the lockstep path (AssembleEnsemble + RunEnsemble, shared SoA
-// workspace and factorisations) reproduces each member's solo run bit
-// for bit — voltage trace, energy bookkeeping and basin accounting.
-// The implicit fallback (no lockstep mode, sequential members) is held
-// to the same contract.
+// TestBistableRunEnsembleMatchesSolo: a bistable seed ensemble run the
+// way a batch worker runs it — members assembled one after another on a
+// shared workspace pool, each inheriting the previous member's recycled
+// storage — reproduces each member's fresh solo run bit for bit:
+// voltage trace, energy bookkeeping and basin accounting, on the
+// proposed engine and an implicit baseline alike.
 func TestBistableRunEnsembleMatchesSolo(t *testing.T) {
 	const dur = 0.4
 	seeds := []uint64{3, 5, 9}
@@ -170,24 +170,15 @@ func TestBistableRunEnsembleMatchesSolo(t *testing.T) {
 		return BistableScenario(dur, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, seed)
 	}
 	for _, kind := range []EngineKind{Proposed, ExistingTrap} {
-		scs := make([]Scenario, len(seeds))
-		for i, s := range seeds {
-			scs[i] = mk(s)
-		}
-		hs, _, err := AssembleEnsemble(scs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engs := make([]Engine, len(hs))
-		for i, h := range hs {
-			engs[i] = h.NewEngine(kind, 1)
-		}
-		for i, err := range RunEnsemble(hs, engs, dur) {
+		pool := core.NewWorkspacePool()
+		for _, seed := range seeds {
+			ens, err := AssembleWith(mk(seed), pool)
 			if err != nil {
-				t.Fatalf("%v member %d: %v", kind, i, err)
+				t.Fatal(err)
 			}
-		}
-		for i, seed := range seeds {
+			if err := ens.RunEngine(ens.NewEngine(kind, 1), dur); err != nil {
+				t.Fatalf("%v seed %d: %v", kind, seed, err)
+			}
 			solo, err := Assemble(mk(seed))
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +186,6 @@ func TestBistableRunEnsembleMatchesSolo(t *testing.T) {
 			if err := solo.RunEngine(solo.NewEngine(kind, 1), dur); err != nil {
 				t.Fatal(err)
 			}
-			ens := hs[i]
 			if len(ens.VcTrace.Vals) != len(solo.VcTrace.Vals) {
 				t.Fatalf("%v seed %d: trace lengths %d vs %d",
 					kind, seed, len(ens.VcTrace.Vals), len(solo.VcTrace.Vals))
@@ -216,6 +206,10 @@ func TestBistableRunEnsembleMatchesSolo(t *testing.T) {
 			}
 			solo.Release()
 			ens.Release()
+		}
+		if gets, hits := pool.Stats(); hits != gets-1 {
+			t.Errorf("%v: pool served %d of %d assemblies from recycled storage, want %d",
+				kind, hits, gets, gets-1)
 		}
 	}
 }

@@ -436,6 +436,66 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestDeprecatedNoLockstepIgnored keeps wire v1 additive: a request
+// that still carries the deprecated "no_lockstep" field decodes under
+// DisallowUnknownFields, is accepted, and streams results bit-identical
+// to the same request without it.
+func TestDeprecatedNoLockstepIgnored(t *testing.T) {
+	spec := wire.Spec{
+		Name:     "ens",
+		Scenario: wire.Scenario{Kind: "noise", DurationS: 0.25, NoiseFLoHz: 55, NoiseFHiHz: 85, NoiseSeed: 1},
+		Axes:     []wire.Axis{{Kind: wire.AxisSeed, BaseSeed: 3, Count: 4}},
+	}
+	plain, err := json.Marshal(wire.SweepRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(plain, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["no_lockstep"] = true
+	flagged, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each body runs cold on its own server, one worker, so the two
+	// streams differ only in wall-clock timing.
+	stream := func(body []byte) []wire.Result {
+		ts := httptest.NewServer(New(Options{Workers: 1}).Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("POST %s: %s: %s", body, resp.Status, msg)
+		}
+		var acc wire.SweepAccepted
+		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+			t.Fatal(err)
+		}
+		results, summary := streamSweep(t, ts, acc)
+		if summary.Failed != 0 || len(results) != 4 {
+			t.Fatalf("%s: %d results, %d failed", body, len(results), summary.Failed)
+		}
+		for i := range results {
+			results[i].ElapsedUS = 0
+		}
+		return results
+	}
+	want, got := stream(plain), stream(flagged)
+	for i := range want {
+		a, _ := json.Marshal(want[i])
+		b, _ := json.Marshal(got[i])
+		if !bytes.Equal(a, b) {
+			t.Errorf("result %d: with no_lockstep %s, without %s", i, b, a)
+		}
+	}
+}
+
 // TestErrorEnvelopeEverywhere is the error-surface contract: every
 // non-2xx response on every route — including the 404/405s the ServeMux
 // generates itself — is application/json carrying the canonical

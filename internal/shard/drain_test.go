@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,8 +99,21 @@ func fleetStates(t *testing.T, coordURL string) map[string]string {
 // wave's sockets. The bare &http.Client{} it used to fall back to keeps
 // only 2 idle conns per host, so the second wave would re-dial.
 func TestClientReusesConnections(t *testing.T) {
-	var newConns atomic.Int64
+	const wave = 8
+	var newConns, arrivals atomic.Int64
+	// The handler holds the first wave until all of it has arrived, so
+	// each of its calls must own a connection: no call can finish early
+	// and hand its socket to a later one, which would leave the first
+	// wave with fewer sockets than the second needs.
+	allIn := make(chan struct{})
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrivals.Add(1) == wave {
+			close(allIn)
+		}
+		select {
+		case <-allIn:
+		case <-time.After(10 * time.Second):
+		}
 		w.Write([]byte("ok"))
 	}))
 	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
@@ -111,14 +126,25 @@ func TestClientReusesConnections(t *testing.T) {
 
 	c := New(Options{Workers: []string{ts.URL}})
 
-	const wave = 8
+	// parked counts connections the transport has returned to its idle
+	// pool; a call's connection is parked after its body is drained,
+	// which may be after the call itself returns.
+	parked := make(chan error, 2*wave)
+	idleTrace := &httptrace.ClientTrace{PutIdleConn: func(err error) { parked <- err }}
 	fire := func() {
 		var wg sync.WaitGroup
 		for i := 0; i < wave; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, err := c.client.Get(ts.URL + "/healthz")
+				req, err := http.NewRequestWithContext(
+					httptrace.WithClientTrace(context.Background(), idleTrace),
+					http.MethodGet, ts.URL+"/healthz", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := c.client.Do(req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -134,8 +160,18 @@ func TestClientReusesConnections(t *testing.T) {
 	if afterFirst > wave {
 		t.Fatalf("first wave of %d concurrent calls opened %d connections", wave, afterFirst)
 	}
-	// Give the transport a beat to park the connections idle.
-	time.Sleep(50 * time.Millisecond)
+	// Wait until the transport has offered every first-wave connection
+	// back to its idle pool.
+	for i := 0; i < wave; i++ {
+		select {
+		case err := <-parked:
+			if err != nil {
+				t.Errorf("transport refused to keep a first-wave connection idle: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d first-wave connections were returned to the idle pool", i, wave)
+		}
+	}
 	fire()
 	if total := newConns.Load(); total > afterFirst {
 		t.Errorf("second wave dialled %d new connections (total %d after %d) — idle pool too small",

@@ -29,9 +29,10 @@ type SweepRequest struct {
 	// own per-request maximum and cancels the sweep's context when it
 	// expires. 0 selects the server's maximum.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// NoLockstep disables the ensemble-lockstep dispatch for this sweep
-	// (every job simulates independently). Results are bit-identical
-	// either way; the switch exists for A/B timing and bisection.
+	// Deprecated: NoLockstep selected a seed-ensemble dispatch mode that
+	// no longer exists; every job now runs on the one solo path. The
+	// field stays so v1 requests that set it still decode under
+	// DisallowUnknownFields; its value is ignored.
 	NoLockstep bool `json:"no_lockstep,omitempty"`
 	// Trace, when non-empty, enables span recording for this sweep under
 	// the given trace id (32 hex chars, W3C-traceparent style). Tracing

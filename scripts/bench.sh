@@ -14,7 +14,7 @@
 # get moderate fixed counts for the same reason. -count 3 lets the
 # parser keep the per-benchmark minimum, the conventional noise floor.
 set -e
-go test -run '^$' -bench 'Benchmark(Table1|Table2|BatchSweep|DuffingNoise|Bistable_|SweepCache_Cold|ServerSweep_Cold|EnsembleLockstep|CoordSweep)' -benchmem -benchtime 1x -count 3 .
+go test -run '^$' -bench 'Benchmark(Table1|Table2|BatchSweep|DuffingNoise|Bistable_|SweepCache_Cold|ServerSweep_Cold|EnsembleSeeds|CoordSweep)' -benchmem -benchtime 1x -count 3 .
 go test -run '^$' -bench 'BenchmarkSweepCache_Warm$' -benchmem -benchtime 50x -count 3 .
 go test -run '^$' -bench 'BenchmarkBistableBasinReduction$' -benchmem -benchtime 200x -count 3 .
 go test -run '^$' -bench 'BenchmarkServerSweep_Warm$' -benchmem -benchtime 20x -count 3 .

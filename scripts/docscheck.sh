@@ -5,6 +5,10 @@
 # [A-Za-z0-9_./-] that either contains a slash or ends in a known file
 # extension; command lines (contain spaces), flags, Go identifiers
 # (dots without slashes), globs and `./...` wildcards are ignored.
+#
+# It also requires every numbered benchmark baseline the docs cite
+# (BENCH_N.json) to be the one the CI bench job gates on, so the docs
+# can't keep pointing at a superseded snapshot.
 set -e
 cd "$(dirname "$0")/.."
 fail=0
@@ -23,7 +27,20 @@ for doc in README.md DESIGN.md; do
     fi
   done
 done
+gated=$(grep -oE 'baseline BENCH_[0-9]+\.json' .github/workflows/ci.yml | sed 's/^baseline //' | sort -u)
+if [ "$(echo "$gated" | grep -c .)" -ne 1 ]; then
+  echo "ci.yml: want exactly one gated BENCH_N.json baseline, found: $gated" >&2
+  fail=1
+fi
+for doc in README.md DESIGN.md; do
+  for b in $(grep -oE 'BENCH_[0-9]+\.json' "$doc" | sort -u); do
+    if [ "$b" != "$gated" ]; then
+      echo "$doc: cites $b, but CI gates on $gated" >&2
+      fail=1
+    fi
+  done
+done
 if [ "$fail" -eq 0 ]; then
-  echo "docscheck: all referenced paths exist"
+  echo "docscheck: all referenced paths exist; docs cite the gated baseline $gated"
 fi
 exit $fail
