@@ -76,11 +76,13 @@ type NoiseSpec struct {
 
 // DefaultNoiseTones is the tone count a zero NoiseSpec.Tones selects:
 // enough lines that no individual tone dominates the band, few enough
-// that an Accel evaluation stays a sub-microsecond loop.
+// that a tone sum costs about a microsecond.
 const DefaultNoiseTones = 48
 
-// MaxNoiseTones bounds the realisation size: Accel is evaluated several
-// times per engine step, so the tone count is a per-step cost knob, not
+// MaxNoiseTones bounds the realisation size. The engines compute about one
+// tone sum per step (the Accel memo absorbs repeat calls at the same
+// t), at roughly 15-20 ns per tone, so the tone count is a per-step
+// cost knob: at this cap one sum takes tens of microseconds. It is not
 // a place for unbounded input to allocate gigabytes.
 const MaxNoiseTones = 4096
 
@@ -266,9 +268,8 @@ func (v *Vibration) Accel(t float64) float64 {
 		return v.memoA
 	}
 	a := v.Amplitude * math.Sin(v.Phase(t))
-	for i := range v.tones {
-		tn := &v.tones[i]
-		a += tn.amp * math.Sin(tn.w*t+tn.phi)
+	if len(v.tones) > 0 { // tone-less sources skip addTones' stack block
+		a = addTones(a, v.tones, t)
 	}
 	v.memoOK, v.memoT, v.memoAmp, v.memoA = true, t, v.Amplitude, a
 	return a
