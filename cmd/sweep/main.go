@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -186,64 +185,23 @@ func main() {
 		bi = bistableOpts{on: true, well: *wellM, barrier: *barrierJ, xi1: *xi1, xi2: *xi2}
 	}
 
+	spec := sweepSpec(*simFor, *vc, k3s, *noiseSd, *seeds, bi)
+	v := view{topK: *topK, seeds: *seeds, traceTop: *traceTop, vc: *vc, verbose: *verbose}
 	if *remote != "" {
-		if err := runRemote(os.Stdout, *remote, *simFor, *vc, *workers, *topK, k3s, *noiseSd, *seeds, bi, *trace, *traceTop, *verbose); err != nil {
+		if err := runRemote(os.Stdout, *remote, spec, *workers, *trace, v); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: remote: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	base := harvester.ChargeScenario(*simFor)
-	base.Cfg.InitialVc = *vc
-	if *noiseSd != 0 {
-		noisy := harvester.NoiseScenario(*simFor, 55, 85, *noiseSd)
-		noisy.Cfg.InitialVc = *vc
-		base = noisy
+	// A local run compiles the very spec -remote would send, exactly as
+	// the server does, so both share cache identities by construction.
+	bspec, err := spec.Compile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
 	}
-	if bi.on {
-		// Mirrors remoteSpec's "bistable" wire scenario exactly, so local
-		// and remote runs share cache identities.
-		b := harvester.BistableScenario(*simFor, bi.well, bi.barrier, bi.xi1, bi.xi2,
-			bistableFLo, bistableFHi, *noiseSd)
-		b.Cfg.InitialVc = *vc
-		base = b
-	}
-	spec := batch.SweepSpec{
-		Base: batch.Job{
-			Name:     "dickson",
-			Scenario: base,
-			Engine:   harvester.Proposed,
-		},
-		Axes: []batch.Axis{
-			batch.IntAxis("stages", []int{2, 3, 4, 5, 6, 7}, func(j *batch.Job, n int) {
-				j.Scenario.Cfg.Dickson.Stages = n
-			}),
-			batch.FloatAxis("cstage", []float64{10e-6, 22e-6, 47e-6}, func(j *batch.Job, c float64) {
-				j.Scenario.Cfg.Dickson.CStage = c
-			}),
-		},
-	}
-	if len(k3s) > 0 {
-		spec.Axes = append(spec.Axes, batch.FloatAxis("k3", k3s, func(j *batch.Job, v float64) {
-			j.Scenario.Cfg.Microgen.K3 = v
-		}))
-	}
-	if *seeds > 1 {
-		spec.Axes = append(spec.Axes, batch.SeedAxis("seed", batch.Seeds(*noiseSd, *seeds),
-			func(j *batch.Job, s uint64) { j.Scenario.Cfg.VibNoise.Seed = s }))
-	}
-	// Rank by mean power into the store over the settled window. The
-	// metric closure is shared by every expanded job, so it derives
-	// everything from its per-job harvester argument; MetricKey declares
-	// it a pure function of the run so results stay cacheable (the same
-	// named metric the wire format and the sweep server resolve, so
-	// local and remote runs share cache identities).
-	spec.Base.Metric = func(h *harvester.Harvester, eng harvester.Engine) float64 {
-		return h.PStoreTrace.Slice(*simFor/3, *simFor).Mean()
-	}
-	spec.Base.MetricKey = wire.MetricPStoreMeanSettled
-
 	opt := batch.Options{Workers: *workers}
 	switch {
 	case *cacheDir != "":
@@ -269,9 +227,9 @@ func main() {
 	}
 
 	fmt.Printf("design sweep: %d candidates, %.3g s simulated each, %d workers\n",
-		spec.Size(), *simFor, opt.EffectiveWorkers())
+		bspec.Size(), *simFor, opt.EffectiveWorkers())
 	start := time.Now()
-	results, err := batch.Sweep(context.Background(), spec, opt)
+	results, err := batch.Sweep(context.Background(), bspec, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
@@ -285,10 +243,10 @@ func main() {
 		cs := opt.Cache.Stats()
 		cacheStats = &cs
 	}
-	failed := report(os.Stdout, results, wall, *topK, *seeds, *vc, *simFor, cacheStats, *verbose)
+	failed := report(os.Stdout, results, wall, cacheStats, v)
 	if rec != nil {
 		spans, _ := rec.Snapshot(0)
-		renderTrace(os.Stdout, spans, *traceTop)
+		renderTrace(os.Stdout, spans, v.traceTop)
 	}
 	if failed > 0 {
 		os.Exit(1)
@@ -388,12 +346,19 @@ func renderTrace(w io.Writer, spans []tracing.Span, top int) {
 	}
 }
 
+// view holds the rendering settings local and remote runs share.
+type view struct {
+	topK, seeds, traceTop int
+	vc                    float64
+	verbose               bool
+}
+
 // report renders a completed sweep — shared by local and remote modes so
 // both read identically — and returns the number of failed candidates
 // (the caller decides the process exit status; report itself never
 // exits, so the remote path can wrap the count in a proper error).
-func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds int, vc, simFor float64,
-	cacheStats *batch.CacheStats, verbose bool) int {
+func report(w io.Writer, results []batch.Result, wall time.Duration, cacheStats *batch.CacheStats, v view) int {
+	topK, seeds, vc, verbose := v.topK, v.seeds, v.vc, v.verbose
 	sum := batch.Summarize(results)
 	fmt.Fprintf(w, "completed in %v wall (summed job time %v)\n\n",
 		wall.Round(time.Millisecond), sum.CPUTime.Round(time.Millisecond))
@@ -446,11 +411,10 @@ func report(w io.Writer, results []batch.Result, wall time.Duration, topK, seeds
 	return sum.Failed
 }
 
-// remoteSpec builds the declarative wire form of the exact sweep the
-// local mode assembles with closures — the wire round-trip tests pin
-// that both produce identical job identities, so a remote run hits
-// cache entries primed locally and vice versa.
-func remoteSpec(simFor, vc float64, k3s []float64, noiseSd uint64, seeds int, bi bistableOpts) wire.Spec {
+// sweepSpec builds the declarative wire form of the sweep. A local run
+// compiles it; -remote sends it to a server that compiles it the same
+// way, so a remote run hits cache entries primed locally and vice versa.
+func sweepSpec(simFor, vc float64, k3s []float64, noiseSd uint64, seeds int, bi bistableOpts) wire.Spec {
 	sc := wire.Scenario{Kind: "charge", DurationS: simFor,
 		Set: map[string]float64{"initial_vc": vc}}
 	if noiseSd != 0 {
@@ -491,11 +455,9 @@ func remoteSpec(simFor, vc float64, k3s []float64, noiseSd uint64, seeds int, bi
 // dropped, server killed mid-sweep, missing or duplicate results) or
 // any job failed server-side; the caller turns that into a non-zero
 // exit.
-func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK int, k3s []float64,
-	noiseSd uint64, seeds int, bi bistableOpts, traced bool, traceTop int, verbose bool) error {
+func runRemote(w io.Writer, baseURL string, spec wire.Spec, workers int, traced bool, v view) error {
 	baseURL = strings.TrimRight(baseURL, "/")
-	req := wire.SweepRequest{Spec: remoteSpec(simFor, vc, k3s, noiseSd, seeds, bi),
-		Workers: workers}
+	req := wire.SweepRequest{Spec: spec, Workers: workers}
 	if traced {
 		req.Trace = tracing.NewTraceID()
 	}
@@ -543,40 +505,12 @@ func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK in
 	// Reconstruct batch results from the NDJSON lines so the rendering
 	// (ranking, ensembles, summary) is byte-for-byte the local one.
 	results := make([]batch.Result, 0, acc.Jobs)
-	var summary *wire.Summary
-	scanner := bufio.NewScanner(stream.Body)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(scanner.Bytes(), &probe); err != nil {
-			return fmt.Errorf("bad stream line %q: %v", scanner.Text(), err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(scanner.Bytes(), &r); err != nil {
-				return err
-			}
-			results = append(results, wire.BatchResultOf(r))
-		case wire.LineSummary:
-			s := wire.Summary{}
-			if err := json.Unmarshal(scanner.Bytes(), &s); err != nil {
-				return err
-			}
-			summary = &s
-		default:
-			return fmt.Errorf("unknown stream line type %q", probe.Type)
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return fmt.Errorf("stream read failed after %d of %d results: %w (server killed mid-sweep?)",
+	summary, err := wire.ReadStream(stream.Body, func(r wire.Result) {
+		results = append(results, wire.BatchResultOf(r))
+	})
+	if err != nil {
+		return fmt.Errorf("stream failed after %d of %d results: %w (server killed mid-sweep?)",
 			len(results), acc.Jobs, err)
-	}
-	if summary == nil {
-		return fmt.Errorf("stream ended without a summary after %d of %d results (server killed mid-sweep?)",
-			len(results), acc.Jobs)
 	}
 	if len(results) != acc.Jobs {
 		return fmt.Errorf("stream truncated: received %d of %d results", len(results), acc.Jobs)
@@ -600,7 +534,7 @@ func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK in
 	}
 
 	var cacheStats *batch.CacheStats
-	if verbose {
+	if v.verbose {
 		if resp, err := http.Get(baseURL + "/v1/cache/stats"); err == nil {
 			var cs wire.CacheStats
 			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&cs) == nil {
@@ -629,14 +563,14 @@ func runRemote(w io.Writer, baseURL string, simFor, vc float64, workers, topK in
 		}
 		fmt.Fprintln(w)
 	}
-	failed := report(w, ordered, wall, topK, seeds, vc, simFor, cacheStats, verbose)
+	failed := report(w, ordered, wall, cacheStats, v)
 	if traced {
 		// The stream's summary line means the sweep finished; the trace
 		// endpoint seals moments later, and its replay blocks until then.
 		if spans, err := fetchTrace(baseURL, acc.ID); err != nil {
 			fmt.Fprintf(w, "\ntrace: fetch failed: %v\n", err)
 		} else {
-			renderTrace(w, spans, traceTop)
+			renderTrace(w, spans, v.traceTop)
 		}
 	}
 	if failed > 0 {
@@ -657,15 +591,5 @@ func fetchTrace(baseURL, id string) ([]tracing.Span, error) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("trace endpoint replied %s", resp.Status)
 	}
-	var spans []tracing.Span
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ln wire.SpanLine
-		if json.Unmarshal(sc.Bytes(), &ln) != nil || ln.Type != wire.LineSpan {
-			continue
-		}
-		spans = append(spans, wire.SpanOf(ln))
-	}
-	return spans, sc.Err()
+	return wire.ReadSpans(resp.Body)
 }

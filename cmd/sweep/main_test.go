@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"harvsim/internal/batch"
+	"harvsim/internal/harvester"
 	"harvsim/internal/wire"
 )
 
@@ -54,7 +56,8 @@ func summaryLine(jobs, failed int) string {
 // contract is under test).
 func callRemote(srv *httptest.Server) (string, error) {
 	var out strings.Builder
-	err := runRemote(&out, srv.URL, 1, 2.5, 1, 5, nil, 0, 1, bistableOpts{}, false, 5, false)
+	err := runRemote(&out, srv.URL, sweepSpec(1, 2.5, nil, 0, 1, bistableOpts{}), 1, false,
+		view{topK: 5, seeds: 1, traceTop: 5, vc: 2.5})
 	return out.String(), err
 }
 
@@ -166,5 +169,72 @@ func TestRunRemoteCompleteStream(t *testing.T) {
 	}
 	if !strings.Contains(out, "completed in") || !strings.Contains(out, "best design") {
 		t.Errorf("report missing expected sections:\n%s", out)
+	}
+}
+
+// TestSweepSpecFlagSets: every workload the flags select compiles to the
+// expected grid — job count, first and last names, design groups — with
+// every job cacheable under the named metric, so local runs and -remote
+// runs of the same flags share cache entries.
+func TestSweepSpecFlagSets(t *testing.T) {
+	bi := bistableOpts{on: true, well: harvester.BistableWellM, barrier: harvester.BistableBarrierJ}
+	biXi := bi
+	biXi.xi1, biXi.xi2 = 20, -300
+	cases := []struct {
+		name        string
+		k3s         []float64
+		noiseSd     uint64
+		seeds       int
+		bi          bistableOpts
+		jobs        int
+		groups      int
+		first, last string
+	}{
+		{"charge", nil, 0, 1, bistableOpts{}, 18, 18,
+			"dickson[stages=2 cstage=1e-05]", "dickson[stages=7 cstage=4.7e-05]"},
+		{"k3", []float64{0, 1e9, 5e9}, 0, 1, bistableOpts{}, 54, 54,
+			"dickson[stages=2 cstage=1e-05 k3=0]", "dickson[stages=7 cstage=4.7e-05 k3=5e+09]"},
+		{"noise", nil, 7, 1, bistableOpts{}, 18, 18,
+			"dickson[stages=2 cstage=1e-05]", "dickson[stages=7 cstage=4.7e-05]"},
+		{"noise seeds k3", []float64{0, 1e9}, 7, 4, bistableOpts{}, 144, 36,
+			"dickson[stages=2 cstage=1e-05 k3=0 seed=7191089600892374487]",
+			"dickson[stages=7 cstage=4.7e-05 k3=1e+09 seed=10753165928301472203]"},
+		{"bistable seeds", nil, 7, 3, bi, 54, 18,
+			"dickson[stages=2 cstage=1e-05 seed=7191089600892374487]",
+			"dickson[stages=7 cstage=4.7e-05 seed=16616101746815609346]"},
+		{"bistable xi", nil, 7, 1, biXi, 18, 18,
+			"dickson[stages=2 cstage=1e-05]", "dickson[stages=7 cstage=4.7e-05]"},
+	}
+	for _, tc := range cases {
+		bspec, err := sweepSpec(12, 2.5, tc.k3s, tc.noiseSd, tc.seeds, tc.bi).Compile()
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		jobs, err := bspec.Jobs()
+		if err != nil {
+			t.Fatalf("%s: expand: %v", tc.name, err)
+		}
+		if len(jobs) != tc.jobs {
+			t.Fatalf("%s: %d jobs, want %d", tc.name, len(jobs), tc.jobs)
+		}
+		if jobs[0].Name != tc.first || jobs[len(jobs)-1].Name != tc.last {
+			t.Errorf("%s: names %q .. %q, want %q .. %q", tc.name,
+				jobs[0].Name, jobs[len(jobs)-1].Name, tc.first, tc.last)
+		}
+		groups := map[string]bool{}
+		for _, j := range jobs {
+			groups[j.Group] = true
+			if !batch.Cacheable(j, batch.Options{}) || j.MetricKey != wire.MetricPStoreMeanSettled {
+				t.Fatalf("%s: job %s not cacheable under the named metric", tc.name, j.Name)
+			}
+			cfg := j.Scenario.Cfg
+			if cfg.InitialVc != 2.5 || cfg.Microgen.Xi1 != tc.bi.xi1 || cfg.Microgen.Xi2 != tc.bi.xi2 {
+				t.Fatalf("%s: job %s lost a flag: vc %g xi1 %g xi2 %g", tc.name, j.Name,
+					cfg.InitialVc, cfg.Microgen.Xi1, cfg.Microgen.Xi2)
+			}
+		}
+		if len(groups) != tc.groups {
+			t.Errorf("%s: %d design groups, want %d", tc.name, len(groups), tc.groups)
+		}
 	}
 }

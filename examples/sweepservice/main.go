@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -44,8 +43,18 @@ func spec() wire.SweepRequest {
 	}}
 }
 
+// refused exits non-zero with the error envelope a non-2xx reply
+// carries (every error from the service speaks it).
+func refused(what string, resp *http.Response) {
+	var e wire.Error
+	if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error.Code == "" {
+		log.Fatalf("%s: %s", what, resp.Status)
+	}
+	log.Fatalf("%s: %s [%s]: %s", what, resp.Status, e.Error.Code, e.Error.Message)
+}
+
 // runOnce submits the spec and drains the stream, reporting progress and
-// returning (cached lines, total lines, best metric line).
+// returning (cached lines, total lines).
 func runOnce(base string, label string) (cached, total int) {
 	body, err := json.Marshal(spec())
 	if err != nil {
@@ -55,11 +64,14 @@ func runOnce(base string, label string) (cached, total int) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		refused("submit", resp)
+	}
 	var acc wire.SweepAccepted
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		log.Fatal(err)
 	}
-	resp.Body.Close()
 
 	start := time.Now()
 	stream, err := http.Get(base + acc.StreamURL)
@@ -67,38 +79,26 @@ func runOnce(base string, label string) (cached, total int) {
 		log.Fatal(err)
 	}
 	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		refused("stream", stream)
+	}
 
 	bestName, bestMetric := "", 0.0
-	scanner := bufio.NewScanner(stream.Body)
-	for scanner.Scan() {
-		var probe struct {
-			Type string `json:"type"`
+	_, err = wire.ReadStream(stream.Body, func(line wire.Result) {
+		total++
+		if line.Cached {
+			cached++
 		}
-		if err := json.Unmarshal(scanner.Bytes(), &probe); err != nil {
-			log.Fatal(err)
+		if total == 1 || float64(line.Metric) > bestMetric {
+			bestName, bestMetric = line.Name, float64(line.Metric)
 		}
-		switch probe.Type {
-		case wire.LineResult:
-			var line wire.Result
-			if err := json.Unmarshal(scanner.Bytes(), &line); err != nil {
-				log.Fatal(err)
-			}
-			total++
-			if line.Cached {
-				cached++
-			}
-			if total == 1 || float64(line.Metric) > bestMetric {
-				bestName, bestMetric = line.Name, float64(line.Metric)
-			}
-		case wire.LineSummary:
-			fmt.Printf("%s: %d results streamed in %v, best %s (%.3g uW)\n",
-				label, total, time.Since(start).Round(time.Millisecond),
-				bestName, bestMetric*1e6)
-		}
-	}
-	if err := scanner.Err(); err != nil {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("%s: %d results streamed in %v, best %s (%.3g uW)\n",
+		label, total, time.Since(start).Round(time.Millisecond),
+		bestName, bestMetric*1e6)
 	return cached, total
 }
 

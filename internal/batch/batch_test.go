@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"harvsim/internal/harvester"
+	"harvsim/internal/testenv"
 )
 
 // chargeJob is a short non-autonomous charge run from a working point —
@@ -327,7 +328,7 @@ func TestPoolSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short")
 	}
-	if raceEnabled {
+	if testenv.Race() {
 		t.Skip("speedup gate skipped under the race detector (instrumentation serialises the pool)")
 	}
 	if runtime.NumCPU() < 4 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"harvsim/internal/harvester"
+	"harvsim/internal/testenv"
 )
 
 func TestTable1ShapeHolds(t *testing.T) {
@@ -48,7 +49,7 @@ func TestTable2ShapeHolds(t *testing.T) {
 		// detector, whose instrumentation reshapes the per-step cost
 		// profile of the two engine families differently (observed ~1.6x
 		// under -race vs ~4x without on the same machine).
-		if !raceEnabled && row.Speedup < 2 {
+		if !testenv.Race() && row.Speedup < 2 {
 			t.Errorf("%s: proposed should clearly beat existing, speedup %.2f", row.Scenario, row.Speedup)
 		}
 		if row.VcRMSE > 0.05 {

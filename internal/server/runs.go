@@ -173,6 +173,79 @@ func (rs *Runs) Active() int {
 	return n
 }
 
+// Mount registers the job-resource routes over the registry on mux.
+// The sweep server and the shard coordinator both serve their runs
+// through these handlers:
+//
+//	GET    /v1/jobs/{id}        status; ?results=1 adds the result list once done
+//	GET    /v1/jobs/{id}/stream NDJSON results, then the summary (ServeStream)
+//	GET    /v1/jobs/{id}/trace  NDJSON spans of a traced sweep (ServeTrace)
+//	DELETE /v1/jobs/{id}        cancel a running sweep
+func (rs *Runs) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/jobs/{id}", rs.handleJob)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", rs.handleStream)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", rs.handleTrace)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", rs.handleCancel)
+}
+
+// lookup resolves the request's job id, replying 404 when it is
+// unknown (or evicted).
+func (rs *Runs) lookup(w http.ResponseWriter, r *http.Request) *Run {
+	id := r.PathValue("id")
+	run := rs.Lookup(id)
+	if run == nil {
+		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false, "unknown job %q", id)
+	}
+	return run
+}
+
+func (rs *Runs) handleJob(w http.ResponseWriter, r *http.Request) {
+	if run := rs.lookup(w, r); run != nil {
+		WriteJSON(w, http.StatusOK, run.Status(r.URL.Query().Get("results") == "1"))
+	}
+}
+
+func (rs *Runs) handleStream(w http.ResponseWriter, r *http.Request) {
+	if run := rs.lookup(w, r); run != nil {
+		ServeStream(w, r, run)
+	}
+}
+
+// handleTrace replays the run's flight recorder. A sweep submitted
+// without a trace id has no recorder and reports 404.
+func (rs *Runs) handleTrace(w http.ResponseWriter, r *http.Request) {
+	run := rs.lookup(w, r)
+	if run == nil {
+		return
+	}
+	if run.Trace == nil {
+		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
+			"job %q was not traced (submit with a \"trace\" id)", run.ID)
+		return
+	}
+	ServeTrace(w, r, run.Trace)
+}
+
+// handleCancel cancels a running sweep's context. Running jobs finish
+// (engines are non-preemptible) and unstarted jobs report cancellation;
+// a coordinator's shard streams abort while its workers' sub-sweeps run
+// to their own budgets. A finished run reports "done" instead of
+// pretending to cancel — client and coordinator retry logic must not
+// misread a completed sweep as still winding down.
+func (rs *Runs) handleCancel(w http.ResponseWriter, r *http.Request) {
+	run := rs.lookup(w, r)
+	if run == nil {
+		return
+	}
+	status := "cancelling"
+	if run.Done() {
+		status = "done"
+	} else {
+		run.Cancel()
+	}
+	WriteJSON(w, http.StatusOK, map[string]any{"v": wire.Version, "id": run.ID, "status": status})
+}
+
 // ServeStream writes a run as NDJSON: every result line as it completes,
 // then the summary line. Late subscribers get a full replay; a
 // ?from=<n> cursor skips the first n lines of the completion-ordered

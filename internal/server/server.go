@@ -46,8 +46,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"runtime"
 	"time"
@@ -102,11 +100,6 @@ func (o Options) maxRequestTime() time.Duration {
 	return 120 * time.Second
 }
 
-// maxRequestBody bounds a sweep request's JSON body. Specs are small
-// (names and number lists); a megabyte is orders of magnitude of
-// headroom, not a DoS surface.
-const maxRequestBody = 1 << 20
-
 // Server is the sweep service. Create with New, mount via Handler.
 type Server struct {
 	opt      Options
@@ -141,10 +134,7 @@ func New(opt Options) *Server {
 	s.alerts = tracing.NewAlerts()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	s.runs.Mount(mux)
 	mux.HandleFunc("GET /v1/cache/stats", s.handleCacheStats)
 	mux.Handle("GET /metrics", s.registry.Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -184,72 +174,14 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // ServeHTTP lets the Server be mounted directly.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// handleSweep validates, compiles and launches a sweep, replying 202
-// with the job id before any simulation work happens.
+// handleSweep admits, compiles and launches a sweep, replying 202 with
+// the job id before any simulation work happens.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req wire.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "bad request body: %v", err)
+	a, ok := FrontDoor{Owner: "server", MaxJobs: s.opt.maxJobs(), Shards: true}.Admit(w, r)
+	if !ok {
 		return
 	}
-	if err := req.Spec.CheckVersion(); err != nil {
-		WriteError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, false, "%v", err)
-		return
-	}
-	// Scalar-field validation comes before any expansion work: a bad
-	// settle_frac must cost a comparison, not a Compile plus one Config
-	// clone per grid point.
-	if req.SettleFrac < 0 || req.SettleFrac >= 1 {
-		WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-			"settle_frac must be in [0, 1), got %g", req.SettleFrac)
-		return
-	}
-	// Budget-check the declared size BEFORE compiling: Compile
-	// materialises seed lists and Jobs clones a Config per job, so a
-	// few hundred bytes of hostile axis product must be rejected while
-	// it is still arithmetic (Size saturates instead of overflowing).
-	// A sharded request only runs its indices, but its declared grid
-	// must clear the same bar, for the same reason.
-	if n := req.Spec.Size(); n > s.opt.maxJobs() {
-		WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooManyJobs, false,
-			"sweep would expand to %d jobs, server budget is %d", n, s.opt.maxJobs())
-		return
-	}
-	for i, ix := range req.Indices {
-		if i > 0 && ix <= req.Indices[i-1] {
-			WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-				"indices must be strictly increasing: indices[%d]=%d after %d", i, ix, req.Indices[i-1])
-			return
-		}
-	}
-	expandStart := time.Now()
-	bspec, err := req.Spec.Compile()
-	if err != nil {
-		code := wire.CodeBadRequest
-		if errors.Is(err, wire.ErrUnsupportedVersion) {
-			code = wire.CodeUnsupportedVersion
-		}
-		WriteError(w, http.StatusBadRequest, code, false, "%v", err)
-		return
-	}
-	var jobs []batch.Job
-	if len(req.Indices) > 0 {
-		jobs, err = bspec.JobsAt(req.Indices)
-	} else {
-		jobs, err = bspec.Jobs()
-	}
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
-		return
-	}
-	if len(jobs) > s.opt.maxJobs() {
-		WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooManyJobs, false,
-			"sweep expands to %d jobs, server budget is %d", len(jobs), s.opt.maxJobs())
-		return
-	}
-	expandDur := time.Since(expandStart)
+	req := a.Req
 
 	// Budgets: the client may shrink, never grow, the server's ceiling.
 	// Compare in the millisecond domain first so an absurd BudgetMS
@@ -273,20 +205,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	run := s.runs.New(len(jobs), cancel)
-
+	run := s.runs.New(len(a.Jobs), cancel)
 	// Tracing is opt-in per request: a non-empty trace id builds the
-	// sweep's flight recorder. The root span links to the caller's span
-	// (a coordinator's shard span), so fleet traces stay connected; the
-	// expansion above was timed unconditionally (two clock reads on a
-	// cold path) so it can be reported here without re-compiling.
-	var root *tracing.Active
-	if req.Trace != "" {
-		rec := tracing.New(req.Trace, 0)
-		root = rec.Start("sweep", req.Span)
-		rec.Add("expand", root.ID(), -1, expandStart, expandDur)
-		run.Trace = rec
-	}
+	// sweep's flight recorder.
+	root := a.StartTrace(run)
 
 	opt := batch.Options{
 		Workers:    workers,
@@ -309,15 +231,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		run.Record(wr)
 	}
-	go s.run(ctx, run, jobs, opt, root)
-
-	WriteJSON(w, http.StatusAccepted, wire.SweepAccepted{
-		V:         wire.Version,
-		ID:        run.ID,
-		Jobs:      len(jobs),
-		StatusURL: "/v1/jobs/" + run.ID,
-		StreamURL: "/v1/jobs/" + run.ID + "/stream",
-	})
+	go s.run(ctx, run, a.Jobs, opt, root)
+	Accept(w, run)
 }
 
 // run executes a submitted sweep under the concurrency semaphore and
@@ -357,70 +272,6 @@ func (s *Server) run(ctx context.Context, run *Run, jobs []batch.Job, opt batch.
 	s.metrics.queueSeconds.Observe(queued.Seconds())
 	s.metrics.execSeconds.Observe(wall.Seconds())
 	s.runs.Retire(run.ID)
-}
-
-// lookup resolves a job id.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Run {
-	id := r.PathValue("id")
-	run := s.runs.Lookup(id)
-	if run == nil {
-		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false, "unknown job %q", id)
-	}
-	return run
-}
-
-// handleJob reports a sweep's status; ?results=1 includes the full
-// result list once done.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	run := s.lookup(w, r)
-	if run == nil {
-		return
-	}
-	WriteJSON(w, http.StatusOK, run.Status(r.URL.Query().Get("results") == "1"))
-}
-
-// handleStream streams a run as NDJSON (see ServeStream).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	run := s.lookup(w, r)
-	if run == nil {
-		return
-	}
-	ServeStream(w, r, run)
-}
-
-// handleCancel cancels a running sweep's context. Running jobs finish
-// (engines are non-preemptible); unstarted jobs report cancellation. A
-// finished run reports "done" instead of pretending to cancel — client
-// and coordinator retry logic must not misread a completed sweep as
-// still winding down.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run := s.lookup(w, r)
-	if run == nil {
-		return
-	}
-	status := "cancelling"
-	if run.Done() {
-		status = "done"
-	} else {
-		run.Cancel()
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"v": wire.Version, "id": run.ID, "status": status})
-}
-
-// handleTrace replays a sweep's flight recorder as NDJSON span lines
-// (see ServeTrace). A sweep submitted without a trace id has no
-// recorder and reports 404.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run := s.lookup(w, r)
-	if run == nil {
-		return
-	}
-	if run.Trace == nil {
-		WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
-			"job %q was not traced (submit with a \"trace\" id)", run.ID)
-		return
-	}
-	ServeTrace(w, r, run.Trace)
 }
 
 // handleCacheStats reports the shared cache's counters.

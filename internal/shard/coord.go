@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -129,10 +127,7 @@ func New(opt Options) *Coordinator {
 	c.alerts = tracing.NewAlerts()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
+	c.runs.Mount(mux)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
 	mux.HandleFunc("POST /v1/workers/drain", c.handleDrain)
 	mux.Handle("GET /metrics", c.registry.Handler())
@@ -221,56 +216,16 @@ func (c *Coordinator) probeFleet(ctx context.Context) []wire.WorkerStatus {
 	return out
 }
 
-// handleSweep validates the sweep, places its jobs on the healthy
-// fleet, and replies 202 before any dispatch work happens. Validation
-// mirrors the single-host server exactly — same envelope, same codes —
-// so clients need no coordinator-specific error handling.
+// handleSweep admits the sweep through the single-host server's front
+// door — same envelope, same codes, so clients need no
+// coordinator-specific error handling — places its jobs on the healthy
+// fleet, and replies 202 before any dispatch work happens.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req wire.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "bad request body: %v", err)
+	a, ok := server.FrontDoor{Owner: "coordinator", MaxJobs: c.opt.maxJobs()}.Admit(w, r)
+	if !ok {
 		return
 	}
-	if err := req.Spec.CheckVersion(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, false, "%v", err)
-		return
-	}
-	// Scalar-field validation before any expansion work — mirrors the
-	// single-host server's order so both reject a bad settle_frac for
-	// the cost of a comparison.
-	if req.SettleFrac < 0 || req.SettleFrac >= 1 {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-			"settle_frac must be in [0, 1), got %g", req.SettleFrac)
-		return
-	}
-	if len(req.Indices) > 0 {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false,
-			"indices are a worker-protocol field; submit whole sweeps to a coordinator")
-		return
-	}
-	if n := req.Spec.Size(); n > c.opt.maxJobs() {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooManyJobs, false,
-			"sweep would expand to %d jobs, coordinator budget is %d", n, c.opt.maxJobs())
-		return
-	}
-	expandStart := time.Now()
-	bspec, err := req.Spec.Compile()
-	if err != nil {
-		code := wire.CodeBadRequest
-		if errors.Is(err, wire.ErrUnsupportedVersion) {
-			code = wire.CodeUnsupportedVersion
-		}
-		server.WriteError(w, http.StatusBadRequest, code, false, "%v", err)
-		return
-	}
-	jobs, err := bspec.Jobs()
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
-		return
-	}
-	expandDur := time.Since(expandStart)
+	req, jobs := a.Req, a.Jobs
 
 	// Health-check the fleet before accepting: a sweep with nowhere to
 	// run is a 503 now, not a stream of failures later. Draining workers
@@ -298,27 +253,13 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.opt.maxRequestTime())
 	run := c.runs.New(len(jobs), cancel)
-
 	// Tracing is opt-in per request, exactly as on a worker: the
 	// coordinator's recorder is the sweep's merge point — every shard's
 	// worker-side spans are imported into it, so one connected trace
 	// spans the whole fleet.
-	var root *tracing.Active
-	if req.Trace != "" {
-		rec := tracing.New(req.Trace, 0)
-		root = rec.Start("sweep", req.Span)
-		rec.Add("expand", root.ID(), -1, expandStart, expandDur)
-		run.Trace = rec
-	}
+	root := a.StartTrace(run)
 	go c.dispatch(ctx, run, req, keys, names, alive, root)
-
-	server.WriteJSON(w, http.StatusAccepted, wire.SweepAccepted{
-		V:         wire.Version,
-		ID:        run.ID,
-		Jobs:      len(jobs),
-		StatusURL: "/v1/jobs/" + run.ID,
-		StreamURL: "/v1/jobs/" + run.ID + "/stream",
-	})
+	server.Accept(w, run)
 }
 
 // sweepState is the shared bookkeeping of one coordinated sweep's
@@ -478,15 +419,13 @@ func (c *Coordinator) postShard(ctx context.Context, worker string, req wire.Swe
 	return acc, nil, nil
 }
 
-// errTruncated marks a shard stream that ended without its summary line
-// — the worker died or the connection dropped mid-stream.
-var errTruncated = errors.New("shard stream truncated before its summary")
-
 // streamShard consumes one worker job's NDJSON stream from *received
 // onward, recording result lines (exactly-once via sweepState). It
 // bumps *received per result line so a retry resumes with ?from exactly
 // past what this coordinator has already read. nil return means the
-// summary line arrived — the shard is complete.
+// summary line arrived — the shard is complete; a stream that ends
+// before it (the worker died or the connection dropped) returns
+// wire.ErrNoSummary.
 func (c *Coordinator) streamShard(ctx context.Context, st *sweepState, worker string, acc wire.SweepAccepted, received *int) error {
 	url := fmt.Sprintf("%s%s?from=%d", worker, acc.StreamURL, *received)
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -502,31 +441,11 @@ func (c *Coordinator) streamShard(ctx context.Context, st *sweepState, worker st
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("stream: worker replied %s", resp.Status)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return fmt.Errorf("bad stream line: %w", err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				return fmt.Errorf("bad result line: %w", err)
-			}
-			*received++
-			st.record(r)
-		case wire.LineSummary:
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return errTruncated
+	_, err = wire.ReadStream(resp.Body, func(r wire.Result) {
+		*received++
+		st.record(r)
+	})
+	return err
 }
 
 // runShard drives one worker's shard to completion: submit, stream,
@@ -599,8 +518,8 @@ func (c *Coordinator) runShard(ctx context.Context, st *sweepState, worker strin
 // importShardTrace replays a completed shard's span stream off the
 // worker and merges it into the sweep's recorder. The worker seals its
 // recorder right after its summary line, so this replay terminates
-// promptly; failures are silently dropped — a lost trace fetch must
-// never fail the shard it observed.
+// promptly. A failed fetch or a bad line drops what is missing — a lost
+// trace fetch must never fail the shard it observed.
 func (c *Coordinator) importShardTrace(ctx context.Context, rec *tracing.Recorder, worker, id string) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+id+"/trace", nil)
 	if err != nil {
@@ -615,14 +534,9 @@ func (c *Coordinator) importShardTrace(ctx context.Context, rec *tracing.Recorde
 		io.Copy(io.Discard, resp.Body)
 		return
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ln wire.SpanLine
-		if json.Unmarshal(sc.Bytes(), &ln) != nil || ln.Type != wire.LineSpan {
-			continue
-		}
-		rec.Import(wire.SpanOf(ln))
+	spans, _ := wire.ReadSpans(resp.Body)
+	for _, sp := range spans {
+		rec.Import(sp)
 	}
 }
 
@@ -670,59 +584,6 @@ func (c *Coordinator) loseWorker(ctx context.Context, st *sweepState, worker str
 		st.wg.Add(1)
 		go c.runShard(ctx, st, w, ixs)
 	}
-}
-
-// handleJob reports a sweep's status; ?results=1 includes the full list
-// once done.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, run.Status(r.URL.Query().Get("results") == "1"))
-}
-
-// handleStream streams the merged run as NDJSON (same semantics as a
-// worker's stream, ?from cursor included).
-func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	server.ServeStream(w, r, run)
-}
-
-// handleTrace replays the merged flight recorder as NDJSON span lines —
-// the same contract as a worker's trace endpoint, but spanning the
-// whole fleet (worker spans are imported as each shard completes).
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	if run.Trace == nil {
-		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound, false,
-			"job %q was not traced (submit with a \"trace\" id)", run.ID)
-		return
-	}
-	server.ServeTrace(w, r, run.Trace)
-}
-
-// handleCancel cancels a running coordinated sweep. Shard streams abort
-// via context; the workers' sub-sweeps run to their own budgets. A
-// finished run reports "done" — same contract as the single-host server.
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run := c.lookup(w, r)
-	if run == nil {
-		return
-	}
-	status := "cancelling"
-	if run.Done() {
-		status = "done"
-	} else {
-		run.Cancel()
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{"v": wire.Version, "id": run.ID, "status": status})
 }
 
 // handleWorkers reports a live health probe of the configured fleet,
@@ -780,13 +641,4 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		ActiveSweeps: c.runs.Active(),
 		Workers:      len(c.opt.Workers),
 	})
-}
-
-func (c *Coordinator) lookup(w http.ResponseWriter, r *http.Request) *server.Run {
-	id := r.PathValue("id")
-	run := c.runs.Lookup(id)
-	if run == nil {
-		server.WriteError(w, http.StatusNotFound, wire.CodeNotFound, false, "unknown job %q", id)
-	}
-	return run
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -74,39 +73,14 @@ func stream(t *testing.T, base string, acc wire.SweepAccepted, onLine func(n int
 		t.Fatalf("GET %s: %s", acc.StreamURL, resp.Status)
 	}
 	var results []wire.Result
-	var summary wire.Summary
-	sawSummary := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
+	summary, err := wire.ReadStream(resp.Body, func(r wire.Result) {
+		results = append(results, r)
+		if onLine != nil {
+			onLine(len(results))
 		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch probe.Type {
-		case wire.LineResult:
-			var r wire.Result
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, r)
-			if onLine != nil {
-				onLine(len(results))
-			}
-		case wire.LineSummary:
-			if err := json.Unmarshal(sc.Bytes(), &summary); err != nil {
-				t.Fatal(err)
-			}
-			sawSummary = true
-		}
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if !sawSummary {
-		t.Fatal("stream ended without a summary line")
 	}
 	return results, summary
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -39,17 +38,15 @@ func TestCoordinatedTraceIsConnected(t *testing.T) {
 		t.Fatalf("GET trace: %s", resp.Status)
 	}
 	var spans []wire.SpanLine
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	dec := json.NewDecoder(resp.Body)
+	for {
 		var ln wire.SpanLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			t.Fatalf("bad span line %q: %v", sc.Text(), err)
+		if err := dec.Decode(&ln); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("bad span line: %v", err)
 		}
 		spans = append(spans, ln)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 
 	if len(spans) < 64 {

@@ -4,6 +4,9 @@
 # twice and asserts the warm repeat is served entirely from the shared
 # cache (64/64 hits, zero engine runs) with bit-identical metrics, and
 # that the /metrics exposition agrees with the streamed summaries.
+# Finally cmd/sweep runs one seed-ensemble sweep locally and again with
+# -remote against the server: its ensemble table and best-design line
+# must be byte-identical, because both modes compile the same wire spec.
 # Requires curl and jq (both present on the CI runners).
 set -e
 
@@ -102,4 +105,19 @@ if [ "$(metric harvsim_cache_hits_total)" != "$STATS_HITS" ]; then
   exit 1
 fi
 
-echo "serversmoke OK: warm repeat $HITS/$JOBS cache hits, metrics bit-identical, /metrics consistent"
+# Local vs -remote cmd/sweep: one spec, compiled in-process or by the
+# server, must rank and render identically (timing lines excluded).
+go build -o "$WORK/sweep" ./cmd/sweep
+SWEEP_ARGS="-sim 0.5 -noise-seed 7 -seeds 2 -top 5"
+"$WORK/sweep" $SWEEP_ARGS > "$WORK/local.txt"
+"$WORK/sweep" $SWEEP_ARGS -remote "$BASE" > "$WORK/remote.txt"
+ranking() { sed -n '/^ensemble power/,/^$/p; /^best design:/p' "$1"; }
+ranking "$WORK/local.txt" > "$WORK/local.rank"
+ranking "$WORK/remote.txt" > "$WORK/remote.rank"
+if ! grep -q '^best design:' "$WORK/local.rank" || ! cmp -s "$WORK/local.rank" "$WORK/remote.rank"; then
+  echo "serversmoke: cmd/sweep local and -remote rankings differ:" >&2
+  diff "$WORK/local.rank" "$WORK/remote.rank" >&2 || true
+  exit 1
+fi
+
+echo "serversmoke OK: warm repeat $HITS/$JOBS cache hits, metrics bit-identical, /metrics consistent, cmd/sweep local == remote"
