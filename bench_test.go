@@ -421,7 +421,7 @@ func BenchmarkBistableBasinReduction(b *testing.B) {
 // BenchmarkWarmStep measures one warm steady-state step of the proposed
 // engine — the unit of cost the paper's speedup lives in. Its allocs/op
 // baseline is zero, and the CI bench gate (cmd/benchgate vs
-// BENCH_2.json) pins it there: any allocation creeping into the hot
+// BENCH_10.json) pins it there: any allocation creeping into the hot
 // path fails the gate on every machine, independent of CPU speed.
 func BenchmarkWarmStep(b *testing.B) {
 	sc := harvester.ChargeScenario(1e9) // horizon far beyond any b.N
@@ -511,7 +511,9 @@ func BenchmarkTraceOverhead_On(b *testing.B) {
 }
 
 // BenchmarkEngineStepRate isolates the proposed engine's raw step
-// throughput (steps per second of CPU) on the composite 10-state system.
+// throughput on the composite 10-state system: one op is a full 1 s
+// charge run (assembly included), and ns/step reports the wall time per
+// accepted step.
 func BenchmarkEngineStepRate(b *testing.B) {
 	sc := ChargeScenario(1.0)
 	sc.Cfg.InitialVc = 2.5
@@ -523,8 +525,7 @@ func BenchmarkEngineStepRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = eng
-		steps += 1
+		steps += eng.(*core.Engine).Stats.Steps
 	}
-	_ = steps
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

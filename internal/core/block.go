@@ -83,7 +83,9 @@ type Block interface {
 
 // Stamp gives a block offset-translated write access to the global
 // linearisation storage. Row/column indices are local to the block;
-// terminal column indices follow the order of Terminals().
+// terminal column indices follow the order of Terminals(). Stamp is the
+// only writer of the Jacobians: each write also records its position in
+// the system's stamp pattern, which the engine's step runs over.
 type Stamp struct {
 	sys *System
 	blk int
@@ -92,23 +94,23 @@ type Stamp struct {
 // A sets the local state-to-state Jacobian entry (row i, column j).
 func (s Stamp) A(i, j int, v float64) {
 	off := s.sys.xOff[s.blk]
-	s.sys.Jxx.Set(off+i, off+j, v)
+	s.sys.pat.set(blkXX, s.sys.Jxx, off+i, off+j, v)
 }
 
 // B sets the local state-to-terminal Jacobian entry (row i, terminal k).
 func (s Stamp) B(i, k int, v float64) {
-	s.sys.Jxy.Set(s.sys.xOff[s.blk]+i, s.sys.termMap[s.blk][k], v)
+	s.sys.pat.set(blkXY, s.sys.Jxy, s.sys.xOff[s.blk]+i, s.sys.termMap[s.blk][k], v)
 }
 
 // C sets the local equation-to-state Jacobian entry (equation e, column j).
 func (s Stamp) C(e, j int, v float64) {
-	s.sys.Jyx.Set(s.sys.eqOff[s.blk]+e, s.sys.xOff[s.blk]+j, v)
+	s.sys.pat.set(blkYX, s.sys.Jyx, s.sys.eqOff[s.blk]+e, s.sys.xOff[s.blk]+j, v)
 }
 
 // D sets the local equation-to-terminal Jacobian entry (equation e,
 // terminal k).
 func (s Stamp) D(e, k int, v float64) {
-	s.sys.Jyy.Set(s.sys.eqOff[s.blk]+e, s.sys.termMap[s.blk][k], v)
+	s.sys.pat.set(blkYY, s.sys.Jyy, s.sys.eqOff[s.blk]+e, s.sys.termMap[s.blk][k], v)
 }
 
 // E sets the local state excitation entry (row i).

@@ -115,13 +115,13 @@ type Engine struct {
 
 	// Views into ws, bound by ensureWorkspace.
 	x, y, yRHS, f []float64
+	fXY           []float64 // Jxy*y term of f
 	xNext, xLow   []float64
 	errv          []float64
 	luYY          *la.LU
 	red           *la.Matrix // reduced state matrix Jxx - Jxy*inv(Jyy)*Jyx
 	bal           *la.Matrix // balanced copy of red for stability analysis
 	kMat          *la.Matrix // inv(Jyy)*Jyx
-	jPrev         [4]*la.Matrix
 	hist          *ode.History
 	times         []float64
 	coefP, coefL  []float64
@@ -195,11 +195,10 @@ func (e *Engine) ensureWorkspace() error {
 		return nil
 	}
 	e.ws = ws
-	e.x, e.y, e.yRHS, e.f = ws.x, ws.y, ws.yRHS, ws.f
+	e.x, e.y, e.yRHS, e.f, e.fXY = ws.x, ws.y, ws.yRHS, ws.f, ws.fXY
 	e.xNext, e.xLow, e.errv = ws.xNext, ws.xLow, ws.errv
 	e.luYY = ws.luYY
 	e.red, e.bal, e.kMat = ws.red, ws.bal, ws.kM
-	e.jPrev = ws.jPrev
 	e.hist = ws.hist
 	e.times, e.coefP, e.coefL = ws.times, ws.coefP, ws.coefL
 	e.dScale = ws.dScale
@@ -231,13 +230,10 @@ func (e *Engine) refresh(first bool) (relChange float64, err error) {
 	if e.Phases != nil {
 		e.Phases.Refactor += time.Since(phaseStart)
 	}
-	if !first {
-		relChange = e.jacChange()
+	s.pat.sync()
+	if rel := e.jacChange(); !first {
+		relChange = rel
 	}
-	e.jPrev[0].CopyFrom(s.Jxx)
-	e.jPrev[1].CopyFrom(s.Jxy)
-	e.jPrev[2].CopyFrom(s.Jyx)
-	e.jPrev[3].CopyFrom(s.Jyy)
 	e.Stats.Refreshes++
 	if relChange > e.Stats.MaxJacChange {
 		e.Stats.MaxJacChange = relChange
@@ -324,20 +320,32 @@ func (e *Engine) refreshStability() error {
 
 // jacChange returns the largest relative change of any Jacobian entry
 // since the previous refresh — the paper's monitor for the local
-// linearisation error (Eq. 3).
+// linearisation error (Eq. 3) — and takes the snapshot the next call
+// compares against.
+//
+// Only the stamped positions are scanned: every other position is still
+// the zero Build wrote, and the pattern snapshots a position that joins
+// it as 0, as a full-matrix snapshot taken before its first stamp would
+// hold. An entry equal to its snapshot is left as it is (the two can
+// differ only in the sign of a zero, which the monitor cannot see), so
+// after any call the snapshot matches the Jacobians and a run's first
+// refresh needs no cleared snapshot.
 func (e *Engine) jacChange() float64 {
 	var worst float64
-	cur := [4]*la.Matrix{e.Sys.Jxx, e.Sys.Jxy, e.Sys.Jyx, e.Sys.Jyy}
-	for m := range cur {
-		c, p := cur[m].Data, e.jPrev[m].Data
-		for i := range c {
-			d := math.Abs(c[i] - p[i])
+	s := e.Sys
+	cur := [4]*la.Matrix{s.Jxx, s.Jxy, s.Jyx, s.Jyy}
+	for b, m := range cur {
+		row, col, prev := s.pat.entries(b)
+		for i, r := range row {
+			v := m.Data[int(r)*m.Cols+int(col[i])]
+			d := math.Abs(v - prev[i])
 			if d == 0 {
 				continue
 			}
-			r := d / (1 + math.Abs(p[i]))
-			if r > worst {
-				worst = r
+			rel := d / (1 + math.Abs(prev[i]))
+			prev[i] = v
+			if rel > worst {
+				worst = rel
 			}
 		}
 	}
@@ -348,7 +356,8 @@ func (e *Engine) jacChange() float64 {
 // Jyy*y = -(Jyx*x + Ey) (paper Eq. 4).
 func (e *Engine) solveY() error {
 	s := e.Sys
-	s.Jyx.MulVec(e.yRHS, e.x)
+	s.pat.sync()
+	s.pat.mulVec(e.yRHS, blkYX, s.Jyx, e.x)
 	for i := range e.yRHS {
 		e.yRHS[i] = -(e.yRHS[i] + s.Ey[i])
 	}
@@ -356,12 +365,15 @@ func (e *Engine) solveY() error {
 	return e.luYY.Solve(e.y, e.yRHS)
 }
 
-// deriv computes xdot = Jxx*x + Jxy*y + Ex into e.f.
+// deriv computes xdot = Jxx*x + Jxy*y + Ex into e.f, summing the two
+// products separately (into f and fXY) before adding them.
 func (e *Engine) deriv() {
 	s := e.Sys
-	s.Jxx.MulVec(e.f, e.x)
-	s.Jxy.MulVecAdd(e.f, 1, e.y)
+	s.pat.sync()
+	s.pat.mulVec(e.f, blkXX, s.Jxx, e.x)
+	s.pat.mulVec(e.fXY, blkXY, s.Jxy, e.y)
 	for i := range e.f {
+		e.f[i] += e.fXY[i]
 		e.f[i] += s.Ex[i]
 	}
 }

@@ -32,6 +32,9 @@ type System struct {
 	Ex  []float64  // N
 	Ey  []float64  // M
 
+	// pat records the Jacobian positions stamped since Build.
+	pat *stampPattern
+
 	dirty bool // a parameter change invalidated the linearisation
 
 	// scratch for per-block local views
@@ -103,11 +106,14 @@ func (s *System) Build() error {
 			neq, s.ny)
 	}
 	if s.pool != nil {
-		// Recycled storage: zero it — blocks stamp only their own
-		// entries and rely on untouched entries being zero.
+		// Recycled storage: zero it and forget its stamp pattern —
+		// blocks stamp only their own entries and rely on untouched
+		// entries being zero.
 		s.ws = s.pool.Get(nx, s.ny)
 		s.Jxx, s.Jxy, s.Jyx, s.Jyy = s.ws.jxx, s.ws.jxy, s.ws.jyx, s.ws.jyy
 		s.Ex, s.Ey = s.ws.ex, s.ws.ey
+		s.pat = s.ws.pat
+		s.pat.reset()
 		s.Jxx.Zero()
 		s.Jxy.Zero()
 		s.Jyx.Zero()
@@ -121,6 +127,7 @@ func (s *System) Build() error {
 		s.Jyy = la.NewMatrix(s.ny, s.ny)
 		s.Ex = make([]float64, nx)
 		s.Ey = make([]float64, s.ny)
+		s.pat = newStampPattern(nx, s.ny)
 	}
 	s.built = true
 	s.dirty = true
@@ -155,6 +162,7 @@ func (s *System) Release() {
 	s.ws = nil
 	s.Jxx, s.Jxy, s.Jyx, s.Jyy = nil, nil, nil, nil
 	s.Ex, s.Ey = nil, nil
+	s.pat = nil
 }
 
 // MustBuild is Build that panics on error.

@@ -23,10 +23,11 @@ import (
 type Workspace struct {
 	nx, ny int
 
-	// System linearisation storage (bound by System.Build when the
-	// system was given a pool).
+	// System linearisation storage and its stamp pattern (bound by
+	// System.Build when the system was given a pool).
 	jxx, jxy, jyx, jyy *la.Matrix
 	ex, ey             []float64
+	pat                *stampPattern
 
 	// owner is the engine whose march scratch this workspace backs.
 	// Only one engine may bind a workspace: a second engine on the same
@@ -36,11 +37,11 @@ type Workspace struct {
 
 	// Engine march scratch (bound by Engine on first use).
 	x, y, yRHS, f []float64
+	fXY           []float64
 	xNext, xLow   []float64
 	errv          []float64
 	luYY          *la.LU
 	red, bal, kM  *la.Matrix
-	jPrev         [4]*la.Matrix
 	hist          *ode.History
 	times         []float64
 	coefP, coefL  []float64
@@ -62,22 +63,20 @@ func NewWorkspace(nx, ny int) *Workspace {
 		jyy: la.NewMatrix(ny, ny),
 		ex:  make([]float64, nx),
 		ey:  make([]float64, ny),
+		pat: newStampPattern(nx, ny),
 
-		x:     make([]float64, nx),
-		y:     make([]float64, ny),
-		yRHS:  make([]float64, ny),
-		f:     make([]float64, nx),
-		xNext: make([]float64, nx),
-		xLow:  make([]float64, nx),
-		errv:  make([]float64, nx),
-		luYY:  la.NewLU(ny),
-		red:   la.NewMatrix(nx, nx),
-		bal:   la.NewMatrix(nx, nx),
-		kM:    la.NewMatrix(ny, nx),
-		jPrev: [4]*la.Matrix{
-			la.NewMatrix(nx, nx), la.NewMatrix(nx, ny),
-			la.NewMatrix(ny, nx), la.NewMatrix(ny, ny),
-		},
+		x:      make([]float64, nx),
+		y:      make([]float64, ny),
+		yRHS:   make([]float64, ny),
+		f:      make([]float64, nx),
+		fXY:    make([]float64, nx),
+		xNext:  make([]float64, nx),
+		xLow:   make([]float64, nx),
+		errv:   make([]float64, nx),
+		luYY:   la.NewLU(ny),
+		red:    la.NewMatrix(nx, nx),
+		bal:    la.NewMatrix(nx, nx),
+		kM:     la.NewMatrix(ny, nx),
 		hist:   ode.NewHistory(nx, ode.MaxABOrder),
 		times:  make([]float64, ode.MaxABOrder),
 		coefP:  make([]float64, ode.MaxABOrder),

@@ -1,6 +1,8 @@
 package harvester
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"harvsim/internal/core"
@@ -141,5 +143,51 @@ func TestWarmStepZeroAllocsAfterReset(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Fatalf("warm step after Reset allocates %.3f objects/step, want 0", avg)
+	}
+}
+
+// TestWarmPooledRunAllocs pins the heap allocations of one warm pooled
+// job — AssembleWith on a recycled workspace, a full run, Release — to
+// at most the counts the engine needed with dense step products. The
+// stamp pattern's masks and entry lists are pooled with the Jacobians,
+// so a warm job allocates nothing for them. The counts include map and
+// slice-growth allocations whose number depends on the Go release, so
+// the pin applies to the release it was measured with.
+func TestWarmPooledRunAllocs(t *testing.T) {
+	if v := runtime.Version(); !strings.HasPrefix(v, "go1.24") {
+		t.Skipf("allocation counts measured with go1.24; running %s", v)
+	}
+	charge := ChargeScenario(0.05)
+	charge.Cfg.InitialVc = 2.5
+	bistable := BistableScenario(0.05, BistableWellM, BistableBarrierJ, 120, -3.4e4, 8, 40, 3)
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		max  float64
+	}{
+		{"charge", charge, 119},
+		{"bistable", bistable, 126},
+	} {
+		pool := core.NewWorkspacePool()
+		var runErr error
+		run := func() {
+			h, err := AssembleWith(tc.sc, pool)
+			if err != nil {
+				runErr = err
+				return
+			}
+			if _, err := h.Run(Proposed, tc.sc.Duration, 1); err != nil {
+				runErr = err
+			}
+			h.Release()
+		}
+		run() // warm the pool
+		avg := testing.AllocsPerRun(10, run)
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if avg > tc.max {
+			t.Errorf("%s: warm pooled run allocates %.0f objects, want <= %.0f", tc.name, avg, tc.max)
+		}
 	}
 }

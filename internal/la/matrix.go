@@ -3,10 +3,14 @@
 // partial pivoting, norms, Gershgorin bounds, power iteration and
 // diagonal-dominance analysis.
 //
-// Everything is small and dense: energy-harvester block models have a
-// handful of states (the paper's complete system is 11x11), so no sparse
-// machinery is needed. All operations are allocation-conscious so the
-// simulation inner loop can run allocation-free.
+// Everything here is small and dense: energy-harvester block models have
+// a handful of states (the paper's complete system is 11x11), and the
+// factorisation and stability analysis work on full matrices. The one
+// sparse path lives with the engine: internal/core records which
+// Jacobian positions the blocks stamp and runs the per-step products
+// and change monitor over those alone. All operations are
+// allocation-conscious so the simulation inner loop can run
+// allocation-free.
 package la
 
 import (
@@ -119,21 +123,6 @@ func (m *Matrix) MulVec(dst, x []float64) {
 			s += a * x[j]
 		}
 		dst[i] = s
-	}
-}
-
-// MulVecAdd computes dst += scale * m * x.
-func (m *Matrix) MulVecAdd(dst []float64, scale float64, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("la: MulVecAdd dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		dst[i] += scale * s
 	}
 }
 

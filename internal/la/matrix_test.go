@@ -63,10 +63,6 @@ func TestMulVec(t *testing.T) {
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Fatalf("MulVec = %v, want [6 15]", dst)
 	}
-	m.MulVecAdd(dst, 2, []float64{1, 0, 0})
-	if dst[0] != 8 || dst[1] != 23 {
-		t.Fatalf("MulVecAdd = %v, want [8 23]", dst)
-	}
 }
 
 func TestMul(t *testing.T) {

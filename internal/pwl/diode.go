@@ -87,6 +87,7 @@ func (d *Diode) Table() *Table { return d.table }
 // operating point vd, plus the table segment index used (for LLE /
 // Jacobian-change detection).
 func (d *Diode) Companion(vd float64) (g, j float64, segment int) {
-	g, j = d.table.Lookup(vd)
-	return g, j, d.table.SegmentIndex(vd)
+	segment = d.table.SegmentIndex(vd)
+	g, j = d.table.pair(segment)
+	return g, j, segment
 }

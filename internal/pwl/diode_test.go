@@ -134,3 +134,29 @@ func TestBuildTableMinimumSegments(t *testing.T) {
 		t.Fatalf("BuildTable should clamp to >= 2 segments")
 	}
 }
+
+// TestDiodeCompanionMatchesLookup pins Companion's single segment lookup
+// to the (Lookup, SegmentIndex) pair it replaces: the same (G, J) bits
+// and segment at every segment boundary and one ulp either side, just
+// inside and outside the window, at ±Inf and at NaN.
+func TestDiodeCompanionMatchesLookup(t *testing.T) {
+	d := DefaultDiode(64)
+	tab := d.Table()
+	lo, hi := tab.Domain()
+	probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1),
+		math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)),
+		lo - 1, hi + 1, -math.MaxFloat64, math.MaxFloat64}
+	for _, s := range tab.segs {
+		for _, v := range []float64{s.V0, s.V1} {
+			probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+		}
+	}
+	for _, v := range probes {
+		g, j, seg := d.Companion(v)
+		wg, wj := tab.Lookup(v)
+		wseg := tab.SegmentIndex(v)
+		if math.Float64bits(g) != math.Float64bits(wg) || math.Float64bits(j) != math.Float64bits(wj) || seg != wseg {
+			t.Errorf("Companion(%v) = (%v, %v, %d), want (%v, %v, %d)", v, g, j, seg, wg, wj, wseg)
+		}
+	}
+}

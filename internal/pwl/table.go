@@ -116,7 +116,12 @@ func (t *Table) SegmentIndex(v float64) int {
 // Lookup returns the companion pair (G, J) for operating point v, i.e.
 // f(v) ≈ G·v + J locally.
 func (t *Table) Lookup(v float64) (g, j float64) {
-	k := t.SegmentIndex(v)
+	return t.pair(t.SegmentIndex(v))
+}
+
+// pair returns the companion pair of segment index k as SegmentIndex
+// reports it: the edge slopes for the off-table indices.
+func (t *Table) pair(k int) (g, j float64) {
 	switch {
 	case k < 0:
 		return t.loG, t.loJ
