@@ -35,7 +35,7 @@ func serverGridSpec(simFor float64) wire.SweepRequest {
 
 // runServerSweep submits the spec and drains the stream, returning
 // (results, cache hits) and failing the benchmark on any job error.
-func runServerSweep(b *testing.B, ts *httptest.Server, req wire.SweepRequest) (results, hits int) {
+func runServerSweep(b testing.TB, ts *httptest.Server, req wire.SweepRequest) (results, hits int) {
 	b.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -90,17 +90,18 @@ func runServerSweep(b *testing.B, ts *httptest.Server, req wire.SweepRequest) (r
 // transport overhead.
 func BenchmarkServerSweep_Cold(b *testing.B) {
 	req := serverGridSpec(0.5)
-	b.ResetTimer()
+	g := gateAllocs(b, 15927)
+	defer g.check()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+		g.StopTimer()
 		ts := httptest.NewServer(server.New(server.Options{}).Handler())
-		b.StartTimer()
+		g.StartTimer()
 		if n, _ := runServerSweep(b, ts, req); n != 64 {
 			b.Fatalf("streamed %d results, want 64", n)
 		}
-		b.StopTimer()
+		g.StopTimer()
 		ts.Close()
-		b.StartTimer()
+		g.StartTimer()
 	}
 }
 
@@ -115,7 +116,7 @@ func BenchmarkServerSweep_Warm(b *testing.B) {
 	if n, _ := runServerSweep(b, ts, req); n != 64 {
 		b.Fatal("prime run incomplete")
 	}
-	b.ResetTimer()
+	defer gateAllocs(b, 8076).check()
 	for i := 0; i < b.N; i++ {
 		n, hits := runServerSweep(b, ts, req)
 		if n != 64 || hits != 64 {

@@ -8,6 +8,17 @@ package harvsim
 //
 // Each benchmark logs the reproduced table/figure once so that
 // `go test -bench=. -benchmem` output doubles as the experiment record.
+//
+// Timing is not gated here: absolute ns/op moves with the machine. The
+// speed claims are same-run ratios (ratio_test.go and the Table I/II
+// tests in internal/exp) and end-to-end numbers come from perfbench.
+// What a benchmark does gate is its heap allocations per op, which do
+// not depend on the machine: each one that carries a gateAllocs call
+// fails itself when it allocates more than allocSlack times its
+// baseline, and a zero baseline admits no allocation at all. Each
+// baseline is the allocs/op the benchmark recorded (go1.24, linux/amd64)
+// when absolute timings stopped being gated. CI runs the gated set with
+// -benchtime 1x.
 
 import (
 	"context"
@@ -20,10 +31,63 @@ import (
 	"harvsim/internal/harvester"
 )
 
+// allocSlack is how far a gated benchmark's allocs/op may rise above
+// its baseline before the benchmark fails.
+const allocSlack = 1.2
+
+// allocGate counts the heap allocations made while a benchmark's timer
+// runs, the same quantity go test reports as allocs/op.
+type allocGate struct {
+	b        *testing.B
+	baseline uint64
+	mallocs  uint64 // allocations counted so far
+	mark     uint64 // Mallocs when the timer last started
+}
+
+// gateAllocs resets b's timer and starts counting allocations against
+// baseline allocs/op; defer the returned gate's check. A benchmark that
+// pauses its timer does so through the gate's StopTimer/StartTimer.
+func gateAllocs(b *testing.B, baseline uint64) *allocGate {
+	b.ReportAllocs()
+	b.StopTimer()
+	g := &allocGate{b: b, baseline: baseline}
+	b.ResetTimer()
+	g.StartTimer()
+	return g
+}
+
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+func (g *allocGate) StartTimer() {
+	g.mark = mallocs()
+	g.b.StartTimer()
+}
+
+func (g *allocGate) StopTimer() {
+	g.b.StopTimer()
+	g.mallocs += mallocs() - g.mark
+}
+
+// check stops the timer and fails the benchmark when allocs/op
+// (truncated, as go test prints it) exceeds the ceiling.
+func (g *allocGate) check() {
+	g.StopTimer()
+	perOp := g.mallocs / uint64(g.b.N)
+	if ceiling := uint64(allocSlack * float64(g.baseline)); perOp > ceiling {
+		g.b.Fatalf("%d allocs/op exceeds the ceiling of %d (%.1f x baseline %d)",
+			perOp, ceiling, allocSlack, g.baseline)
+	}
+}
+
 // benchTable1Sim is the simulated charging span for Table I benches.
 const benchTable1Sim = 2.0
 
 func BenchmarkTable1_SystemVisionVHDLAMS(b *testing.B) {
+	defer gateAllocs(b, 116).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.ChargeScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.ExistingTrap, 1<<20); err != nil {
@@ -33,6 +97,7 @@ func BenchmarkTable1_SystemVisionVHDLAMS(b *testing.B) {
 }
 
 func BenchmarkTable1_SystemCA(b *testing.B) {
+	defer gateAllocs(b, 116).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.ChargeScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.ExistingBDF2, 1<<20); err != nil {
@@ -42,6 +107,7 @@ func BenchmarkTable1_SystemCA(b *testing.B) {
 }
 
 func BenchmarkTable1_Proposed(b *testing.B) {
+	defer gateAllocs(b, 124).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.ChargeScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.Proposed, 1<<20); err != nil {
@@ -53,6 +119,7 @@ func BenchmarkTable1_Proposed(b *testing.B) {
 func BenchmarkTable1_Full(b *testing.B) {
 	// The assembled Table I (all four environments) with the rendered
 	// comparison logged once.
+	defer gateAllocs(b, 25978).check()
 	var res exp.Table1Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -65,6 +132,7 @@ func BenchmarkTable1_Full(b *testing.B) {
 }
 
 func BenchmarkTable2_Scenario1_Existing(b *testing.B) {
+	defer gateAllocs(b, 333).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.Scenario1(harvester.Quick)
 		sc.Duration = 30
@@ -75,6 +143,7 @@ func BenchmarkTable2_Scenario1_Existing(b *testing.B) {
 }
 
 func BenchmarkTable2_Scenario1_Proposed(b *testing.B) {
+	defer gateAllocs(b, 205).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.Scenario1(harvester.Quick)
 		sc.Duration = 30
@@ -85,6 +154,7 @@ func BenchmarkTable2_Scenario1_Proposed(b *testing.B) {
 }
 
 func BenchmarkTable2_Scenario2_Existing(b *testing.B) {
+	defer gateAllocs(b, 501).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.Scenario2(harvester.Quick)
 		sc.Duration = 40
@@ -95,6 +165,7 @@ func BenchmarkTable2_Scenario2_Existing(b *testing.B) {
 }
 
 func BenchmarkTable2_Scenario2_Proposed(b *testing.B) {
+	defer gateAllocs(b, 229).check()
 	for i := 0; i < b.N; i++ {
 		sc := harvester.Scenario2(harvester.Quick)
 		sc.Duration = 40
@@ -117,6 +188,7 @@ func benchDuffingNoiseScenario(duration float64) harvester.Scenario {
 }
 
 func BenchmarkDuffingNoise_Proposed(b *testing.B) {
+	defer gateAllocs(b, 131).check()
 	for i := 0; i < b.N; i++ {
 		sc := benchDuffingNoiseScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.Proposed, 1<<20); err != nil {
@@ -126,6 +198,7 @@ func BenchmarkDuffingNoise_Proposed(b *testing.B) {
 }
 
 func BenchmarkDuffingNoise_Existing(b *testing.B) {
+	defer gateAllocs(b, 123).check()
 	for i := 0; i < b.N; i++ {
 		sc := benchDuffingNoiseScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.ExistingTrap, 1<<20); err != nil {
@@ -245,7 +318,7 @@ func batchSweepGrid(duration float64) []batch.Job {
 
 func BenchmarkBatchSweep_Serial(b *testing.B) {
 	jobs := batchSweepGrid(0.5)
-	b.ResetTimer()
+	defer gateAllocs(b, 7609).check()
 	for i := 0; i < b.N; i++ {
 		results := batch.RunSerial(jobs, batch.Options{})
 		for _, r := range results {
@@ -258,7 +331,7 @@ func BenchmarkBatchSweep_Serial(b *testing.B) {
 
 func BenchmarkBatchSweep_Pooled(b *testing.B) {
 	jobs := batchSweepGrid(0.5)
-	b.ResetTimer()
+	defer gateAllocs(b, 7613).check()
 	for i := 0; i < b.N; i++ {
 		results := batch.Run(context.Background(), jobs, batch.Options{})
 		for _, r := range results {
@@ -275,7 +348,7 @@ func BenchmarkBatchSweep_Pooled(b *testing.B) {
 // per-worker workspace-reuse path BenchmarkBatchSweep_Pooled now runs.
 func BenchmarkBatchSweep_PooledNoReuse(b *testing.B) {
 	jobs := batchSweepGrid(0.5)
-	b.ResetTimer()
+	defer gateAllocs(b, 11151).check()
 	for i := 0; i < b.N; i++ {
 		results := batch.Run(context.Background(), jobs, batch.Options{NoWorkspaceReuse: true})
 		for _, r := range results {
@@ -293,7 +366,7 @@ func BenchmarkBatchSweep_PooledNoReuse(b *testing.B) {
 // cache's workload multiplier in the benchmark trajectory.
 func BenchmarkSweepCache_Cold(b *testing.B) {
 	jobs := batchSweepGrid(0.5)
-	b.ResetTimer()
+	defer gateAllocs(b, 12622).check()
 	for i := 0; i < b.N; i++ {
 		cache := batch.NewCache(0)
 		results := batch.Run(context.Background(), jobs, batch.Options{Cache: cache})
@@ -317,7 +390,7 @@ func BenchmarkSweepCache_Warm(b *testing.B) {
 			b.Fatal(r.Err)
 		}
 	}
-	b.ResetTimer()
+	defer gateAllocs(b, 4881).check()
 	for i := 0; i < b.N; i++ {
 		results := batch.Run(context.Background(), jobs, batch.Options{Cache: cache})
 		for _, r := range results {
@@ -351,7 +424,7 @@ func benchEnsembleJobs(k int, duration float64) []batch.Job {
 // default serial batch dispatch.
 func BenchmarkEnsembleSeeds(b *testing.B) {
 	jobs := benchEnsembleJobs(16, 0.5)
-	b.ResetTimer()
+	defer gateAllocs(b, 2092).check()
 	for i := 0; i < b.N; i++ {
 		results := batch.RunSerial(jobs, batch.Options{})
 		for _, r := range results {
@@ -373,6 +446,7 @@ func benchBistableScenario(duration float64) harvester.Scenario {
 }
 
 func BenchmarkBistable_Proposed(b *testing.B) {
+	defer gateAllocs(b, 131).check()
 	for i := 0; i < b.N; i++ {
 		sc := benchBistableScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.Proposed, 1<<20); err != nil {
@@ -382,6 +456,7 @@ func BenchmarkBistable_Proposed(b *testing.B) {
 }
 
 func BenchmarkBistable_Implicit(b *testing.B) {
+	defer gateAllocs(b, 123).check()
 	for i := 0; i < b.N; i++ {
 		sc := benchBistableScenario(benchTable1Sim)
 		if _, _, err := harvester.RunScenario(sc, harvester.ExistingTrap, 1<<20); err != nil {
@@ -408,8 +483,7 @@ func BenchmarkBistableBasinReduction(b *testing.B) {
 			b.Fatal(r.Err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	defer gateAllocs(b, 12).check()
 	for i := 0; i < b.N; i++ {
 		points := batch.Ensembles(results)
 		if len(points) != 1 || len(points[0].Basins) == 0 {
@@ -420,9 +494,8 @@ func BenchmarkBistableBasinReduction(b *testing.B) {
 
 // BenchmarkWarmStep measures one warm steady-state step of the proposed
 // engine — the unit of cost the paper's speedup lives in. Its allocs/op
-// baseline is zero, and the CI bench gate (cmd/benchgate vs
-// BENCH_10.json) pins it there: any allocation creeping into the hot
-// path fails the gate on every machine, independent of CPU speed.
+// baseline is zero, so any allocation creeping into the hot path fails
+// the benchmark on every machine, independent of CPU speed.
 func BenchmarkWarmStep(b *testing.B) {
 	sc := harvester.ChargeScenario(1e9) // horizon far beyond any b.N
 	sc.Cfg.InitialVc = 2.5
@@ -442,8 +515,7 @@ func BenchmarkWarmStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	defer gateAllocs(b, 0).check()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Step(); err != nil {
 			b.Fatal(err)
@@ -453,7 +525,7 @@ func BenchmarkWarmStep(b *testing.B) {
 
 // traceOverheadEngine builds the warm steady-state engine the trace
 // overhead pair steps (same setup as BenchmarkWarmStep).
-func traceOverheadEngine(b *testing.B) *core.Engine {
+func traceOverheadEngine(b testing.TB) *core.Engine {
 	b.Helper()
 	sc := harvester.ChargeScenario(1e9)
 	sc.Cfg.InitialVc = 2.5
@@ -478,15 +550,14 @@ func traceOverheadEngine(b *testing.B) *core.Engine {
 
 // BenchmarkTraceOverhead_Off is the tracing-disabled warm step — the
 // default state every untraced sweep runs in. Engine.Phases is nil, so
-// the engine takes no clock readings; the gate pins this at ZERO
+// the engine takes no clock readings; its gate pins this at ZERO
 // allocs/op, the observer-grade contract of the tracing layer.
 func BenchmarkTraceOverhead_Off(b *testing.B) {
 	eng := traceOverheadEngine(b)
 	if eng.Phases != nil {
 		b.Fatal("Phases armed on a fresh engine")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	defer gateAllocs(b, 0).check()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Step(); err != nil {
 			b.Fatal(err)
@@ -501,8 +572,7 @@ func BenchmarkTraceOverhead_Off(b *testing.B) {
 func BenchmarkTraceOverhead_On(b *testing.B) {
 	eng := traceOverheadEngine(b)
 	eng.Phases = &core.PhaseTimes{}
-	b.ReportAllocs()
-	b.ResetTimer()
+	defer gateAllocs(b, 0).check()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Step(); err != nil {
 			b.Fatal(err)

@@ -7,190 +7,121 @@
 //	benchtab -only xengine  # cross-engine conformance tables
 //	benchtab -full          # paper-scale scenario horizons (slow!)
 //	benchtab -table1-sim 30
-//	benchtab -json          # Table I/II + xengine as a benchfmt report
 //
-// With -json the Table I, Table II and cross-engine results are emitted
-// as one machine-readable JSON document in the internal/benchfmt schema
-// — the same format as the committed BENCH_*.json baselines the CI bench
-// gate (cmd/benchgate) enforces — so snapshots from either source diff
-// against each other directly.
+// An unknown -only name exits 2 and lists the valid ones.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
+	"slices"
+	"strings"
 
-	"harvsim/internal/benchfmt"
 	"harvsim/internal/exp"
 	"harvsim/internal/harvester"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams explicit; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		only      = flag.String("only", "", "run a single experiment: table1, table2, fig8a, fig8b, fig9, ablations, xengine")
-		full      = flag.Bool("full", false, "paper-scale scenario horizons (hours of simulated time)")
-		table1Sim = flag.Float64("table1-sim", 10, "simulated charging span for Table I [s]")
-		ablSim    = flag.Float64("ablation-sim", 3, "simulated span for the ablations [s]")
-		xengSim   = flag.Float64("xengine-sim", 2, "simulated span for the cross-engine conformance charge [s]")
-		workers   = flag.Int("workers", 0, "batch worker-pool size for xengine (0 = GOMAXPROCS)")
-		asJSON    = flag.Bool("json", false, "emit Table I/II and xengine results as a benchfmt JSON report")
+		full      = fs.Bool("full", false, "paper-scale scenario horizons (hours of simulated time)")
+		table1Sim = fs.Float64("table1-sim", 10, "simulated charging span for Table I [s]")
+		ablSim    = fs.Float64("ablation-sim", 3, "simulated span for the ablations [s]")
+		xengSim   = fs.Float64("xengine-sim", 2, "simulated span for the cross-engine conformance charge [s]")
+		workers   = fs.Int("workers", 0, "batch worker-pool size for xengine (0 = GOMAXPROCS)")
+		fid       = harvester.Quick // set from -full once the flags are parsed
 	)
-	flag.Parse()
 
-	fid := harvester.Quick
-	if *full {
-		fid = harvester.PaperScale
-	}
-	want := func(name string) bool { return *only == "" || *only == name }
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		os.Exit(1)
-	}
-	if *asJSON {
-		switch *only {
-		case "", "table1", "table2", "xengine":
-		default:
-			fmt.Fprintf(os.Stderr, "benchtab: -json covers table1, table2 and xengine; %q has no JSON form\n", *only)
-			os.Exit(2)
-		}
-	}
-
-	report := benchfmt.NewReport()
-	report.GoVersion = runtime.Version()
-	addRun := func(name string, run exp.EngineRun) {
-		report.Benchmarks = append(report.Benchmarks, benchfmt.Benchmark{
-			Name:        name,
-			Runs:        1,
-			NsPerOp:     float64(run.CPUTime.Nanoseconds()),
-			AllocsPerOp: float64(run.Stats.Allocs),
-			BytesPerOp:  float64(run.Stats.AllocBytes),
-			Metrics: map[string]float64{
-				"steps":     float64(run.Steps),
-				"sim_s":     run.SimTime,
-				"hmean_s":   run.HMeanSec,
-				"refactors": float64(run.Stats.Refactors),
-				"solves":    float64(run.Stats.Solves),
-			},
-		})
-	}
-	addConformance := func(prefix string, res exp.ConformanceResult) {
-		for _, row := range res.Rows {
-			if row.Err != nil {
-				continue
+	// The experiments in print order; each returns its rendered tables.
+	experiments := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"table1", func() (string, error) {
+			res, err := exp.Table1(*table1Sim)
+			if err != nil {
+				return "", err
 			}
-			report.Benchmarks = append(report.Benchmarks, benchfmt.Benchmark{
-				Name:    prefix + "/" + row.Engine.String(),
-				Runs:    1,
-				NsPerOp: float64(row.CPUTime.Nanoseconds()),
-				Metrics: map[string]float64{
-					"steps":      float64(row.Steps),
-					"hmax_s":     row.HMax,
-					"final_vc_v": row.FinalVc,
-					"rms_pin_w":  row.RMSPower,
-					"dvc_v":      row.DVc,
-					"dpow_rel":   row.DPowRel,
-				},
-			})
-		}
-	}
-
-	if want("table1") {
-		res, err := exp.Table1(*table1Sim)
-		if err != nil {
-			fail(err)
-		}
-		if *asJSON {
-			for _, row := range res.Rows {
-				addRun("Table1/"+row.Simulator, row.Run)
-			}
-		} else {
-			fmt.Println(res.String())
 			// Extrapolations to a paper-scale 4-hour charge.
 			const fullCharge = 4 * 3600.0
-			fmt.Println("extrapolated to a 4 h simulated charge:")
+			out := res.String() + "\nextrapolated to a 4 h simulated charge:\n"
 			for _, row := range res.Rows {
-				fmt.Printf("  %-24s %s\n", row.Simulator, exp.FormatDuration(row.Run.ExtrapolateTo(fullCharge)))
+				out += fmt.Sprintf("  %-24s %s\n", row.Simulator, exp.FormatDuration(row.Run.ExtrapolateTo(fullCharge)))
 			}
-			fmt.Println()
-		}
-	}
-	if want("table2") {
-		res, err := exp.Table2(fid)
-		if err != nil {
-			fail(err)
-		}
-		if *asJSON {
-			for _, row := range res.Rows {
-				addRun("Table2/"+row.Scenario+"/existing", row.Existing)
-				addRun("Table2/"+row.Scenario+"/proposed", row.Proposed)
-			}
-		} else {
-			fmt.Println(res.String())
-		}
-	}
-	if !*asJSON {
-		if want("fig8a") {
-			res, err := exp.Fig8a(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
-		}
-		if want("fig8b") {
-			res, err := exp.Fig8b(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
-		}
-		if want("fig9") {
-			res, err := exp.Fig9(fid)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res.String())
-		}
-	}
-	if want("xengine") {
+			return out, nil
+		}},
+		{"table2", func() (string, error) { return render(exp.Table2(fid)) }},
+		{"fig8a", func() (string, error) { return render(exp.Fig8a(fid)) }},
+		{"fig8b", func() (string, error) { return render(exp.Fig8b(fid)) }},
+		{"fig9", func() (string, error) { return render(exp.Fig9(fid)) }},
 		// The agreement tables the benchmarks can't provide: the same
 		// workload under all four engines, run through the concurrent
 		// batch layer, with deviations against the proposed engine.
-		charge, err := exp.ConformanceCharge(*xengSim, *workers)
-		if err != nil {
-			fail(err)
-		}
-		sc1, err := exp.ConformanceScenario1(20, *workers)
-		if err != nil {
-			fail(err)
-		}
-		if *asJSON {
-			addConformance("XEngine/charge", charge)
-			addConformance("XEngine/scenario1", sc1)
-		} else {
-			fmt.Println(charge.String())
-			fmt.Println(sc1.String())
-		}
-	}
-	if !*asJSON && want("ablations") {
-		for _, run := range []func(float64) (exp.AblationResult, error){
-			exp.AblationABOrder, exp.AblationPWL, exp.AblationStability, exp.AblationAccuracy,
-		} {
-			res, err := run(*ablSim)
+		{"xengine", func() (string, error) {
+			charge, err := exp.ConformanceCharge(*xengSim, *workers)
 			if err != nil {
-				fail(err)
+				return "", err
 			}
-			fmt.Println(res.String())
-		}
+			sc1, err := exp.ConformanceScenario1(20, *workers)
+			return charge.String() + "\n" + sc1.String(), err
+		}},
+		{"ablations", func() (string, error) {
+			var out []string
+			for _, ablate := range []func(float64) (exp.AblationResult, error){
+				exp.AblationABOrder, exp.AblationPWL, exp.AblationStability, exp.AblationAccuracy,
+			} {
+				res, err := ablate(*ablSim)
+				if err != nil {
+					return "", err
+				}
+				out = append(out, res.String())
+			}
+			return strings.Join(out, "\n"), nil
+		}},
 	}
-	if *asJSON {
-		report.Sort()
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fail(err)
-		}
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	valid := strings.Join(names, ", ")
+	only := fs.String("only", "", "run a single experiment: "+valid)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if *full {
+		fid = harvester.PaperScale
+	}
+	if *only != "" && !slices.Contains(names, *only) {
+		fmt.Fprintf(stderr, "benchtab: unknown experiment %q; valid: %s\n", *only, valid)
+		return 2
+	}
+	for _, e := range experiments {
+		if *only != "" && *only != e.name {
+			continue
+		}
+		out, err := e.run()
+		if err != nil {
+			fmt.Fprintf(stderr, "benchtab: %v\n", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, out)
+	}
+	return 0
+}
+
+// render is the common tail of the single-result experiments.
+func render[T fmt.Stringer](res T, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.String(), nil
 }

@@ -115,12 +115,8 @@ type EngineStats struct {
 	// Restarts counts multistep-history restarts at discontinuities
 	// (proposed engine only).
 	Restarts int
-	// Allocs/AllocBytes are heap allocations attributed to the run, when
-	// the engine measured them (core.Engine.MeasureAllocs).
-	Allocs     uint64
-	AllocBytes uint64
-	HMean      float64
-	SimTime    float64
+	HMean    float64
+	SimTime  float64
 }
 
 // StatsOf extracts the unified counters from either engine family.
@@ -135,8 +131,6 @@ func StatsOf(eng harvester.Engine) EngineStats {
 			Solves:              e.Stats.YSolves,
 			StabilityRecomputes: e.Stats.StabilityRecomputes,
 			Restarts:            e.Stats.Restarts,
-			Allocs:              e.Stats.Allocs,
-			AllocBytes:          e.Stats.AllocBytes,
 			HMean:               e.Stats.HMean,
 			SimTime:             e.Stats.SimTime,
 		}

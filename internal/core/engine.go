@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"harvsim/internal/la"
@@ -43,13 +42,6 @@ type Stats struct {
 	HStabMin            float64 // tightest stability cap encountered
 	HMean               float64 // mean accepted step
 	SimTime             float64 // simulated span
-
-	// Allocs/AllocBytes are the process-wide heap allocation count and
-	// bytes attributed to the run, populated only when Engine.MeasureAllocs
-	// is set. They are exact for a run with no concurrent allocation (the
-	// serial benchtab path) and an upper bound otherwise.
-	Allocs     uint64
-	AllocBytes uint64
 }
 
 // PhaseTimes accumulates wall time per engine refresh phase when a run
@@ -89,12 +81,6 @@ type Engine struct {
 	// used by the stability ablation to demonstrate the divergence the
 	// paper's Eq. 7 predicts.
 	StabilityFactor float64
-
-	// MeasureAllocs makes Run record the heap allocations attributed to
-	// the run in Stats.Allocs/AllocBytes (two runtime.ReadMemStats calls
-	// per Run — cheap for single runs, but process-wide, so leave it off
-	// inside concurrent batch workers).
-	MeasureAllocs bool
 
 	// Phases, when set, accumulates wall time spent in the engine's two
 	// expensive refresh phases — Jyy refactorisation and the reduced-
@@ -139,8 +125,6 @@ type Engine struct {
 	t0, t, tEnd float64
 	h, hSum     float64
 	shrinkNext  float64
-	allocsBase  uint64
-	allocBytes0 uint64
 }
 
 // NewEngine returns an engine for the (built or unbuilt) system with
@@ -390,11 +374,6 @@ func (e *Engine) Begin(t0, tEnd float64) error {
 		return err
 	}
 	e.Stats = Stats{HStabMin: math.Inf(1)}
-	if e.MeasureAllocs {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		e.allocsBase, e.allocBytes0 = m.Mallocs, m.TotalAlloc
-	}
 	// Reused storage carries the previous run's values; clear everything
 	// the first linearisation reads so a reused run is bit-identical to a
 	// fresh one.
@@ -553,12 +532,6 @@ func (e *Engine) Finish() error {
 		e.Stats.HMean = e.hSum / float64(e.Stats.Steps)
 	}
 	e.Stats.SimTime = e.tEnd - e.t0
-	if e.MeasureAllocs {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		e.Stats.Allocs = m.Mallocs - e.allocsBase
-		e.Stats.AllocBytes = m.TotalAlloc - e.allocBytes0
-	}
 	return nil
 }
 

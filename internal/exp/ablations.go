@@ -20,11 +20,65 @@ type AblationRow struct {
 	Failed  bool    // run diverged (stability ablation)
 }
 
-// AblationResult is a titled list of rows.
+// AblationResult is a titled list of rows. Note, when set, states what
+// the rows show and is derived from them.
 type AblationResult struct {
 	Title string
 	Note  string
 	Rows  []AblationRow
+}
+
+// flatCPU is the largest max/min CPU ratio across a sweep that its
+// note still calls flat.
+const flatCPU = 1.25
+
+// sweepNote states what a one-setting sweep's rows show (A1, A2):
+// whether CPU stayed flat across the settings, and whether the error
+// fell from the first setting to the last.
+func sweepNote(rows []AblationRow) string {
+	lo, hi := rows[0], rows[0]
+	for _, r := range rows {
+		if r.CPUTime < lo.CPUTime {
+			lo = r
+		}
+		if r.CPUTime > hi.CPUTime {
+			hi = r
+		}
+	}
+	ratio := float64(hi.CPUTime) / float64(lo.CPUTime)
+	note := fmt.Sprintf("CPU is flat (within %.2fx across settings)", ratio)
+	if ratio > flatCPU {
+		note = fmt.Sprintf("CPU is not flat: %s takes %.1fx the CPU of %s", hi.Setting, ratio, lo.Setting)
+	}
+	first, last := rows[0], rows[len(rows)-1]
+	trend := "falls"
+	if last.Err >= first.Err {
+		trend = "does not fall"
+	}
+	return note + fmt.Sprintf(";\nVc RMSE %s from %.3g V (%s) to %.3g V (%s).\n",
+		trend, first.Err, first.Setting, last.Err, last.Setting)
+}
+
+// stabilityNote lists which stability-cap factors kept the march stable
+// and which diverged (A3).
+func stabilityNote(rows []AblationRow) string {
+	stable, diverged := "", ""
+	for _, r := range rows {
+		if r.Failed {
+			diverged += ", " + r.Setting
+		} else {
+			stable += ", " + r.Setting
+		}
+	}
+	return fmt.Sprintf("stable: %s;\ndiverged: %s.\n", orNone(stable), orNone(diverged))
+}
+
+// orNone strips a ", "-joined list's leading separator, or says none.
+func orNone(list string) string {
+	if list == "" {
+		return "none"
+	}
+	return list[2:]
 }
 
 // String renders the ablation table.
@@ -72,7 +126,6 @@ func runReference(sc harvester.Scenario) (*trace.Series, error) {
 func AblationABOrder(duration float64) (AblationResult, error) {
 	res := AblationResult{
 		Title: "Ablation A1 — Adams-Bashforth order (accuracy at matched cost)",
-		Note:  "higher order buys accuracy at nearly constant CPU: the per-step\ncost is dominated by the linearisation refresh, not the AB update.\n",
 	}
 	sc := ablationScenario(duration)
 	ref, err := runReference(sc)
@@ -88,7 +141,7 @@ func AblationABOrder(duration float64) (AblationResult, error) {
 		rec := trace.NewSeries("vc")
 		idx := h.Sys.MustTerminal("Vc")
 		eng.Observe(func(t float64, x, y []float64) { rec.Append(t, y[idx]) })
-		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
+		elapsed, err := Timed(func() error { return eng.Run(0, sc.Duration) })
 		if err != nil {
 			return res, err
 		}
@@ -100,6 +153,7 @@ func AblationABOrder(duration float64) (AblationResult, error) {
 			Err:     cmp.RMSE,
 		})
 	}
+	res.Note = sweepNote(res.Rows)
 	return res, nil
 }
 
@@ -110,7 +164,6 @@ func AblationABOrder(duration float64) (AblationResult, error) {
 func AblationPWL(duration float64) (AblationResult, error) {
 	res := AblationResult{
 		Title: "Ablation A2 — PWL table granularity (paper Section III-B)",
-		Note:  "lookup stays O(1): CPU is flat while the companion-model error\nshrinks quadratically with the segment count.\n",
 	}
 	sc := ablationScenario(duration)
 	ref, err := runReference(sc)
@@ -127,7 +180,7 @@ func AblationPWL(duration float64) (AblationResult, error) {
 		rec := trace.NewSeries("vc")
 		idx := h.Sys.MustTerminal("Vc")
 		eng.Observe(func(t float64, x, y []float64) { rec.Append(t, y[idx]) })
-		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
+		elapsed, err := Timed(func() error { return eng.Run(0, sc.Duration) })
 		if err != nil {
 			return res, err
 		}
@@ -139,6 +192,7 @@ func AblationPWL(duration float64) (AblationResult, error) {
 			Err:     cmp.RMSE,
 		})
 	}
+	res.Note = sweepNote(res.Rows)
 	return res, nil
 }
 
@@ -156,7 +210,6 @@ func cloneDicksonWithSegments(p blocks.DicksonParams, segs int) blocks.DicksonPa
 func AblationStability(duration float64) (AblationResult, error) {
 	res := AblationResult{
 		Title: "Ablation A3 — stability bound (paper Eqs. 6-7)",
-		Note:  "factors <= 1 respect the diagonal-dominance cap; factors beyond\nit destabilise the explicit march exactly as the theory predicts.\n",
 	}
 	sc := ablationScenario(duration)
 	for _, factor := range []float64{0.5, 0.9, 1.0, 2.0, 4.0} {
@@ -171,7 +224,7 @@ func AblationStability(duration float64) (AblationResult, error) {
 		eng.Ctl.Rtol = 1e9
 		eng.Ctl.Atol = 1e9
 		eng.LLETol = 1e18
-		elapsed, err := timed(func() error { return eng.Run(0, sc.Duration) })
+		elapsed, err := Timed(func() error { return eng.Run(0, sc.Duration) })
 		row := AblationRow{
 			Setting: fmt.Sprintf("%.2gx stability cap", factor),
 			CPUTime: elapsed,
@@ -199,6 +252,7 @@ func AblationStability(duration float64) (AblationResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	res.Note = stabilityNote(res.Rows)
 	return res, nil
 }
 
@@ -208,7 +262,6 @@ func AblationStability(duration float64) (AblationResult, error) {
 func AblationAccuracy(duration float64) (AblationResult, error) {
 	res := AblationResult{
 		Title: "Ablation A4 — accuracy parity with the classical solver",
-		Note:  "both engines sit within instrument noise of the tight reference.\n",
 	}
 	sc := ablationScenario(duration)
 	ref, err := runReference(sc)

@@ -13,21 +13,16 @@ import (
 	"time"
 
 	"harvsim/internal/batch"
-	"harvsim/internal/core"
 	"harvsim/internal/harvester"
 	"harvsim/internal/trace"
 )
 
 // EngineRun summarises one engine execution.
 type EngineRun struct {
-	Label    string
-	CPUTime  time.Duration
-	Steps    int
-	SimTime  float64
-	HMeanSec float64
-	// Stats carries the full unified per-run counters (refactorisations,
-	// solves, allocations when measured) for the JSON report.
-	Stats batch.EngineStats
+	Label   string
+	CPUTime time.Duration
+	Steps   int
+	SimTime float64
 }
 
 // Speedup returns how much faster this run is than other (by CPU time,
@@ -50,40 +45,55 @@ func (r EngineRun) ExtrapolateTo(simTime float64) time.Duration {
 	return time.Duration(float64(r.CPUTime) * simTime / r.SimTime)
 }
 
-// timed runs fn and returns the process CPU time it consumed. A
+// Timed runs fn and returns the process CPU time it consumed. A
 // collection first settles earlier garbage, so one engine's allocations
 // are not collected on the next engine's clock.
-func timed(fn func() error) (time.Duration, error) {
+func Timed(fn func() error) (time.Duration, error) {
 	runtime.GC()
 	start := processCPU()
 	err := fn()
 	return processCPU() - start, err
 }
 
-// runTimed executes a scenario under one engine and captures timing plus
-// the unified per-run counters (steps, refactorisations, solves, and —
-// for the proposed engine, which runs serially here — heap allocations).
+// MinCPU runs each of fns n times in rotation (fns[0], fns[1], ...,
+// fns[0], ...) and returns the smallest duration each one reported,
+// in fns order. Each fn times its own measured section, typically with
+// Timed. Rotation exposes every fn to the same machine phases and the
+// minimum is the noise floor, so a ratio of two minima is a property of
+// the code on this machine rather than of the moment it ran.
+func MinCPU(n int, fns ...func() (time.Duration, error)) ([]time.Duration, error) {
+	best := make([]time.Duration, len(fns))
+	for rep := 0; rep < n; rep++ {
+		for i, fn := range fns {
+			d, err := fn()
+			if err != nil {
+				return nil, err
+			}
+			if rep == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best, nil
+}
+
+// runTimed executes a scenario under one engine and captures its CPU
+// time plus the step counters; assembly stays off the clock.
 func runTimed(label string, sc harvester.Scenario, kind harvester.EngineKind, decimate int) (EngineRun, *harvester.Harvester, error) {
 	h := harvester.New(sc.Cfg)
 	if err := h.Schedule(sc); err != nil {
 		return EngineRun{}, nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
 	eng := h.NewEngine(kind, decimate)
-	if ce, ok := eng.(*core.Engine); ok {
-		ce.MeasureAllocs = true
-	}
-	elapsed, err := timed(func() error { return h.RunEngine(eng, sc.Duration) })
+	elapsed, err := Timed(func() error { return h.RunEngine(eng, sc.Duration) })
 	if err != nil {
 		return EngineRun{}, nil, fmt.Errorf("exp: %s failed: %w", label, err)
 	}
-	stats := batch.StatsOf(eng)
 	return EngineRun{
-		Label:    label,
-		CPUTime:  elapsed,
-		Steps:    stats.Steps,
-		SimTime:  sc.Duration,
-		HMeanSec: stats.HMean,
-		Stats:    stats,
+		Label:   label,
+		CPUTime: elapsed,
+		Steps:   batch.StatsOf(eng).Steps,
+		SimTime: sc.Duration,
 	}, h, nil
 }
 

@@ -21,16 +21,70 @@ func TestTable1ShapeHolds(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(res.Rows))
 	}
-	proposed := res.Rows[3].Run
-	for _, row := range res.Rows[:3] {
-		if sp := proposed.Speedup(row.Run); sp < 1.2 {
-			t.Errorf("%s should be slower than proposed: speedup %.2f", row.Simulator, sp)
-		}
-	}
 	out := res.String()
 	if !strings.Contains(out, "Table I") || !strings.Contains(out, "PSPICE") {
 		t.Fatalf("render incomplete:\n%s", out)
 	}
+
+	// Each environment's cost against the proposed engine as a same-run
+	// ratio, since one run on a busy machine varies by more than the
+	// margins: a 0.1 s charge, min of 151 interleaved runs each. Many
+	// short runs let every engine's minimum land in a quiet stretch of
+	// the machine, which longer runs often miss. All three must stay
+	// 1.2x slower than the proposed engine. BDF2's ratio (the SystemC-A
+	// stand-in) has a floor below every clean run on a 2-core VM and
+	// above every run with the proposed step made 20% slower, so it
+	// catches a regression of that size.
+	if testenv.Race() {
+		t.Skip("CPU-time ratio is meaningless under the race detector")
+	}
+	sc := harvester.ChargeScenario(0.1)
+	mna := func() (time.Duration, error) {
+		r, err := runTable1MNA(sc.Duration)
+		return r.CPUTime, err
+	}
+	best, err := MinCPU(151, engineRun(sc, harvester.ExistingTrap), mna,
+		engineRun(sc, harvester.ExistingBDF2), engineRun(sc, harvester.Proposed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range res.Rows[:3] {
+		ratio := float64(best[i]) / float64(best[3])
+		t.Logf("%s %v vs proposed %v: ratio %.2f", row.Simulator, best[i], best[3], ratio)
+		if ratio < 1.2 {
+			t.Errorf("%s should be slower than proposed: CPU ratio %.2f", row.Simulator, ratio)
+		}
+	}
+	if r := float64(best[2]) / float64(best[3]); r < table1RatioFloor {
+		t.Errorf("BDF2/proposed CPU ratio %.2f, want >= %.2f", r, table1RatioFloor)
+	}
+}
+
+// table1RatioFloor is TestTable1ShapeHolds's floor on the BDF2/proposed
+// CPU ratio of the 0.1 s charge.
+const table1RatioFloor = 3.85
+
+// engineRun adapts one run of sc under kind to MinCPU, timing the
+// engine run alone.
+func engineRun(sc harvester.Scenario, kind harvester.EngineKind) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		r, _, err := runTimed(kind.String(), sc, kind, 1<<20)
+		return r.CPUTime, err
+	}
+}
+
+// engineRatio runs sc under slow and fast n times each, interleaved,
+// and returns min(slow)/min(fast): how many times more CPU the slow
+// engine needs for the same simulated span on this machine.
+func engineRatio(t *testing.T, n int, sc harvester.Scenario, slow, fast harvester.EngineKind) float64 {
+	t.Helper()
+	best, err := MinCPU(n, engineRun(sc, slow), engineRun(sc, fast))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(best[0]) / float64(best[1])
+	t.Logf("%s: %s %v, %s %v, ratio %.2f", sc.Name, slow, best[0], fast, best[1], ratio)
+	return ratio
 }
 
 func TestTable2ShapeHolds(t *testing.T) {
@@ -59,7 +113,41 @@ func TestTable2ShapeHolds(t *testing.T) {
 	if !strings.Contains(res.String(), "Table II") {
 		t.Fatalf("render incomplete")
 	}
+
+	// The same claim as an interleaved min-of-N ratio over the first 12 s
+	// of each scenario (the frequency shift lands at 10 s).
+	if testenv.Race() {
+		t.Skip("CPU-time ratio is meaningless under the race detector")
+	}
+	for _, sc := range []harvester.Scenario{harvester.Scenario1(harvester.Quick), harvester.Scenario2(harvester.Quick)} {
+		sc.Duration = 12
+		if r := engineRatio(t, 5, sc, harvester.ExistingTrap, harvester.Proposed); r < table2RatioFloor {
+			t.Errorf("%s: trapezoidal/proposed CPU ratio %.2f, want >= %.2f", sc.Name, r, table2RatioFloor)
+		}
+	}
 }
+
+// table2RatioFloor is TestTable2ShapeHolds's floor on the
+// trapezoidal/proposed CPU ratio of each scenario's first 12 s.
+const table2RatioFloor = 2.0
+
+// TestDuffingNoiseRatio holds the proposed engine's advantage on the
+// nonlinear, stochastic workload: a strong Duffing spring under
+// band-limited noise, where every refresh re-tangents the spring.
+func TestDuffingNoiseRatio(t *testing.T) {
+	if testing.Short() || testenv.Race() {
+		t.Skip("CPU-time ratio: needs a full, non-race build")
+	}
+	sc := harvester.NoiseScenario(0.5, 55, 85, 42)
+	sc.Cfg.VibNoise.RMS = 2
+	sc.Cfg.Microgen.K3 = harvester.DuffingK3Strong
+	if r := engineRatio(t, 11, sc, harvester.ExistingTrap, harvester.Proposed); r < duffingRatioFloor {
+		t.Errorf("trapezoidal/proposed CPU ratio %.2f, want >= %.2f", r, duffingRatioFloor)
+	}
+}
+
+// duffingRatioFloor is TestDuffingNoiseRatio's floor.
+const duffingRatioFloor = 1.8
 
 func TestFig8aPowerLevels(t *testing.T) {
 	if testing.Short() {
@@ -199,5 +287,36 @@ func TestAblationPWLSpeedFlat(t *testing.T) {
 	}
 	if maxCPU > 6*minCPU {
 		t.Errorf("CPU not flat across granularity: %v .. %v s", minCPU, maxCPU)
+	}
+}
+
+// TestAblationNotesFollowRows feeds each note synthetic rows for both
+// outcomes of its claim: the sentence must follow the numbers.
+func TestAblationNotesFollowRows(t *testing.T) {
+	row := func(setting string, cpuMs int, rmse float64, failed bool) AblationRow {
+		return AblationRow{Setting: setting, CPUTime: time.Duration(cpuMs) * time.Millisecond, Err: rmse, Failed: failed}
+	}
+	cases := []struct {
+		name string
+		note string
+		want []string
+	}{
+		{"flat, error falls", sweepNote([]AblationRow{row("a", 100, 1e-3, false), row("b", 110, 1e-5, false)}),
+			[]string{"CPU is flat (within 1.10x", "Vc RMSE falls from 0.001 V (a) to 1e-05 V (b)"}},
+		{"not flat, error rises", sweepNote([]AblationRow{row("a", 300, 1e-5, false), row("b", 100, 2e-5, false)}),
+			[]string{"CPU is not flat: a takes 3.0x the CPU of b", "Vc RMSE does not fall"}},
+		{"some diverged", stabilityNote([]AblationRow{row("1x", 10, 0, false), row("2x", 10, 0, false), row("4x", 10, 0, true)}),
+			[]string{"stable: 1x, 2x;", "diverged: 4x."}},
+		{"none diverged", stabilityNote([]AblationRow{row("1x", 10, 0, false), row("4x", 10, 0, false)}),
+			[]string{"stable: 1x, 4x;", "diverged: none."}},
+		{"all diverged", stabilityNote([]AblationRow{row("4x", 10, 0, true)}),
+			[]string{"stable: none;", "diverged: 4x."}},
+	}
+	for _, c := range cases {
+		for _, w := range c.want {
+			if !strings.Contains(c.note, w) {
+				t.Errorf("%s: note %q lacks %q", c.name, c.note, w)
+			}
+		}
 	}
 }

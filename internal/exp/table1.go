@@ -92,16 +92,15 @@ func runTable1MNA(simDuration float64) (EngineRun, error) {
 	h := circuit.BuildHarvester(p)
 	tr := circuit.NewTransient(h.Net)
 	tr.HMax = 2.5e-4
-	elapsed, err := timed(func() error { return tr.Run(0, simDuration) })
+	elapsed, err := Timed(func() error { return tr.Run(0, simDuration) })
 	if err != nil {
 		return EngineRun{}, fmt.Errorf("exp: MNA run failed: %w", err)
 	}
 	return EngineRun{
-		Label:    "OrCAD (PSPICE)",
-		CPUTime:  elapsed,
-		Steps:    tr.Stats.Steps,
-		SimTime:  simDuration,
-		HMeanSec: tr.Stats.HMean,
+		Label:   "OrCAD (PSPICE)",
+		CPUTime: elapsed,
+		Steps:   tr.Stats.Steps,
+		SimTime: simDuration,
 	}, nil
 }
 

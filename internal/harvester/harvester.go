@@ -29,6 +29,7 @@ import (
 	"harvsim/internal/core"
 	"harvsim/internal/digital"
 	"harvsim/internal/implicit"
+	"harvsim/internal/ode"
 	"harvsim/internal/trace"
 )
 
@@ -88,7 +89,36 @@ func (c Config) Validate() error {
 			return fmt.Errorf("harvester: non-finite excitation/spring parameter in config")
 		}
 	}
+	if c.Dickson.Stages < 1 {
+		return &ConfigError{"Dickson.Stages", float64(c.Dickson.Stages), ">= 1"}
+	}
+	if c.Solver.ABOrder < 0 || c.Solver.ABOrder > ode.MaxABOrder {
+		return &ConfigError{"Solver.ABOrder", float64(c.Solver.ABOrder), fmt.Sprintf("0 (default) to %d", ode.MaxABOrder)}
+	}
+	for _, e := range []ConfigError{
+		{"Dickson.CStage", c.Dickson.CStage, ">= 0"},
+		{"Dickson.COut", c.Dickson.COut, ">= 0"},
+		{"Microgen.Rc", c.Microgen.Rc, ">= 0"},
+		{"VibFreq", c.VibFreq, ">= 0"},
+		{"Solver.HMax", c.Solver.HMax, ">= 0 (0 = default)"},
+	} {
+		if !(e.Value >= 0) { // NaN fails too
+			return &ConfigError{e.Field, e.Value, e.Want}
+		}
+	}
 	return nil
+}
+
+// ConfigError is the typed error Validate returns for a Config field
+// outside the range any run can use.
+type ConfigError struct {
+	Field string  // Config field path, e.g. "Dickson.Stages"
+	Value float64 // the rejected value
+	Want  string  // the accepted range
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("harvester: %s = %g, want %s", e.Field, e.Value, e.Want)
 }
 
 // DefaultConfig returns the calibrated full-system configuration.
